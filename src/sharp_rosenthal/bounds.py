@@ -87,14 +87,14 @@ class BoundResult:
     error_budget: float
 
 
-def _budget(value: float, cfg: SeriesConfig, n_series: int = 1, n_quad: int = 0) -> float:
-    """Aggregate series tolerances, quadrature tolerances, and rounding.
+def _budget(value: float, cfg: SeriesConfig, n_series: int = 1) -> float:
+    """Aggregate series tolerances and rounding.
 
     The rounding term charges one ulp per grid point at a generous fixed
     count, so fuzz-test slacks have a principled floor.
     """
     eps = np.finfo(float).eps
-    return n_series * cfg.tol + n_quad * 1e-10 + 4096.0 * eps * max(1.0, abs(value))
+    return n_series * cfg.tol + 4096.0 * eps * max(1.0, abs(value))
 
 
 def require_zero_mean(X: DiscreteRV, what: str = "X") -> None:
@@ -166,7 +166,7 @@ def exact_bound(
             )
         law = CompoundLaw(0.0, X, LevyVarianceMeasure([(0.0, B)]))
         value = A + cp_abs_moment(law, p, cfg)
-        budget = _budget(value, cfg, n_series=1, n_quad=len(X.atoms))
+        budget = _budget(value, cfg, n_series=1)
         return BoundResult(value, REGIME_P_IN_2_3, solve_lambda_c(p, A, B), "both", budget)
     if p > 3.0 and p < 5.0:
         raise UnsupportedExponents(

@@ -8,8 +8,8 @@ scaled centered Poisson u*(Pi_lam - lam) with lam = w/u^2.
 
 The *series* engine composes truncated Poisson grids (certified Minkowski
 envelopes bound each discarded tail) and weights the residual means with the
-Gaussian moment.  The *contour* engine evaluates the Fourier-Laplace
-identity
+closed-form Gaussian moment, evaluated for the whole grid in one call.  The
+*contour* engine evaluates the Fourier-Laplace identity
     E (x0+X+Y_H)_+^q = Gamma(q+1)/(2*pi*i) int_{Re z=sigma} dz z^{-(q+1)} M(z)
 on the vertical line Re z = sigma > 0 with the principal branch of z^{q+1};
 the negative part uses the reflection -Y_H =_D Y_{H^-}.  The identity holds
@@ -248,9 +248,7 @@ def cp_abs_moment_series(law: CompoundLaw, q: float, cfg: SeriesConfig = DEFAULT
     if grid.sd == 0.0:
         return float(grid.probs @ np.abs(grid.values) ** q)
     grid = _prune_grid(grid, q, cfg.tol / 4.0)
-    return math.fsum(
-        p * gaussian_abs_moment(v, grid.sd, q) for v, p in zip(grid.values, grid.probs)
-    )
+    return math.fsum((grid.probs * gaussian_abs_moment(grid.values, grid.sd, q)).tolist())
 
 
 def cp_part_moment_series(
@@ -267,10 +265,8 @@ def cp_part_moment_series(
     if grid.sd == 0.0:
         return float(grid.probs @ np.clip(grid.values, 0.0, None) ** q)
     grid = _prune_grid(grid, q, cfg.tol / 4.0)
-    return math.fsum(
-        p * gaussian_part_moment(v, grid.sd, q, "positive")
-        for v, p in zip(grid.values, grid.probs)
-    )
+    moments = gaussian_part_moment(grid.values, grid.sd, q, "positive")
+    return math.fsum((grid.probs * moments).tolist())
 
 
 class ShiftedMomentEvaluator:
@@ -310,33 +306,28 @@ class ShiftedMomentEvaluator:
                 f"shift {np.max(np.abs(shifts))} exceeds certified bound {self.shift_bound}"
             )
         grid, q = self._grid, self.q
-        if grid.sd == 0.0:
-            out = np.empty(shifts.size)
-            block = max(1, (1 << 23) // max(1, grid.values.size))
-            for start in range(0, shifts.size, block):
-                pts = shifts[start : start + block, None] + grid.values[None, :]
-                if self.kind == "abs":
-                    weights = np.abs(pts) ** q
-                elif self.kind == "pos":
-                    weights = np.clip(pts, 0.0, None) ** q
-                else:
-                    weights = np.clip(-pts, 0.0, None) ** q
-                out[start : start + block] = weights @ grid.probs
-            return out
         out = np.empty(shifts.size)
-        for i, s in enumerate(shifts):
+        block = max(1, (1 << 23) // max(1, grid.values.size))
+        for start in range(0, shifts.size, block):
+            pts = shifts[start : start + block, None] + grid.values[None, :]
+            if grid.sd > 0.0:
+                weighted = self._gaussian_moments(pts) * grid.probs
+                out[start : start + block] = [math.fsum(row.tolist()) for row in weighted]
+                continue
             if self.kind == "abs":
-                out[i] = math.fsum(
-                    p * gaussian_abs_moment(s + v, grid.sd, q)
-                    for v, p in zip(grid.values, grid.probs)
-                )
+                weights = np.abs(pts) ** q
+            elif self.kind == "pos":
+                weights = np.clip(pts, 0.0, None) ** q
             else:
-                side = "positive" if self.kind == "pos" else "negative"
-                out[i] = math.fsum(
-                    p * gaussian_part_moment(s + v, grid.sd, q, side)
-                    for v, p in zip(grid.values, grid.probs)
-                )
+                weights = np.clip(-pts, 0.0, None) ** q
+            out[start : start + block] = weights @ grid.probs
         return out
+
+    def _gaussian_moments(self, means: np.ndarray) -> np.ndarray:
+        if self.kind == "abs":
+            return gaussian_abs_moment(means, self._grid.sd, self.q)
+        side = "positive" if self.kind == "pos" else "negative"
+        return gaussian_part_moment(means, self._grid.sd, self.q, side)
 
 
 def shifted_moments(
@@ -398,24 +389,27 @@ def saddle_abscissa(law: CompoundLaw, q: float, tol: float) -> float | None:
 
 
 def _contour_truncation(law: CompoundLaw, q: float, sigma: float, tol: float) -> float:
-    """Half-width T certifying the discarded |tau| > T contour tail below tol.
+    """Half-width T certifying the discarded |tau| > T tail of the contour
+    integral of M(z)/z^{q+1} below tol.
 
-    The polynomial envelope |M(sigma)| / |z|^{q+1} integrates to
-    2 M(sigma) T^{-q}/q outside [-T, T]; a Gaussian component sharpens this
-    to a e^{-tau^2 w0/2} envelope.
+    |M(sigma + i tau)| <= M(sigma), so the polynomial envelope integrates to
+    2 M(sigma) T^{-q}/q outside [-T, T].  A Gaussian component of variance
+    w0 adds the factor e^{-w0 tau^2/2}, whose tail with |z| >= sigma is at
+    most 2 M(sigma) sigma^{-q-1} e^{-w0 T^2/2}/(w0 T).
     """
     m_sigma = abs(cp_mgf(law, complex(sigma, 0.0)))
-    gamma_q1 = math.exp(math.lgamma(q + 1.0))
-    t_poly = (gamma_q1 * m_sigma / (math.pi * q * tol)) ** (1.0 / q)
-    t = max(t_poly, 10.0 * sigma, 1.0)
+    t = max((2.0 * m_sigma / (q * tol)) ** (1.0 / q), 10.0 * sigma, 1.0)
     w0 = law.levy.gaussian_variance()
     if w0 > 0.0:
-        # iterate T = sqrt(2 log(c/(T w0))/w0) for the Gaussian envelope
-        t_gauss = 5.0 / math.sqrt(w0)
-        c = gamma_q1 * m_sigma / (math.pi * sigma ** (q + 1.0) * tol)
+        # T = sqrt(2 log(c/(T w0))/w0) decreases in T, so of two consecutive
+        # iterates one lies at or beyond the fixed point, which certifies
+        c = 2.0 * m_sigma / (sigma ** (q + 1.0) * tol)
+        prev, t_gauss = 0.0, 5.0 / math.sqrt(w0)
         for _ in range(4):
-            t_gauss = math.sqrt(max(2.0 * math.log(max(c / (t_gauss * w0), 2.0)), 1.0) / w0)
-        t = min(t, max(t_gauss, 10.0 * sigma, 1.0))
+            prev, t_gauss = t_gauss, math.sqrt(
+                max(2.0 * math.log(max(c / (t_gauss * w0), 2.0)), 1.0) / w0
+            )
+        t = min(t, max(prev, t_gauss, 10.0 * sigma, 1.0))
     return t
 
 

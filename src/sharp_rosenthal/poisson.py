@@ -6,19 +6,21 @@ past k = max(2*lambda, k0) to the first index where the consecutive-term
 ratio drops below 1/2, after which the remainder is geometrically dominated
 by twice the next term.  Poisson probabilities are computed in log space so
 intensities up to 1e4 are handled without overflow.
+
+Gaussian moments have closed forms, vectorized over the mean: the absolute
+moment through Kummer's 1F1 and the part moments through the parabolic
+cylinder function D_{-q-1}.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammaln, hyp1f1, pbdv
 
-from .errors import QuadratureNotConverged, TailNotConverged
+from .errors import TailNotConverged
 
 __all__ = [
     "SeriesConfig",
@@ -250,80 +252,79 @@ def skellam_abs_moment(
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-#: Standard-normal mass outside [-R, R] underflows float64 for R = 50, so
-#: the quadratures run on this finite window.
-_GAUSS_WINDOW = 50.0
+#: Beyond mu^2/2 = -log(tiny) the factor e^{-mu^2/2} of the small Gaussian
+#: side underflows float64 (and pbdv returns NaN near |mu| = 5000).
+_SMALL_SIDE_CUT = -math.log(np.finfo(float).tiny)
 
 
-def _quad(f, a, b, points=None) -> tuple[float, float]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200, points=points)
-    return val, err
+def _check_gaussian_args(sd: float, q: float) -> None:
+    if sd < 0.0:
+        raise ValueError(f"sd must be >= 0, got {sd}")
+    if not q > 0.0:
+        raise ValueError(f"q must be > 0, got {q}")
 
 
-def gaussian_abs_moment(mean: float, sd: float, q: float) -> float:
-    """E|mean + sd*Z|^q for Z ~ N(0,1), sd >= 0, q > 0.
+def _as_result(values: np.ndarray, mean):
+    """``values`` as a float when ``mean`` was a scalar."""
+    return float(values[0]) if np.ndim(mean) == 0 else values
 
-    For sd = 0 this is |mean|^q; for mean = 0 the closed form
-    2^{q/2} Gamma((q+1)/2)/sqrt(pi) * sd^q.  Otherwise the integrand
-    |mean + sd*t|^q has a kink at t = -mean/sd, so each side of the kink is
-    integrated adaptively on its own within the mass window.
+
+def _std_abs_moment(mu: np.ndarray, q: float) -> np.ndarray:
+    """E|mu + Z|^q = 2^{q/2} Gamma((q+1)/2)/sqrt(pi) 1F1(-q/2; 1/2; -mu^2/2).
+
+    Once q^2 <= eps mu^2 the value is |mu|^q to rounding (the first correction
+    is q(q-1)/(2 mu^2)); hyp1f1 returns NaN there for even q >= 4.
     """
-    if sd < 0.0:
-        raise ValueError(f"sd must be >= 0, got {sd}")
-    if not q > 0.0:
-        raise ValueError(f"q must be > 0, got {q}")
+    mu2 = mu * mu
+    far = q * q <= np.finfo(float).eps * mu2
+    c = 2.0 ** (q / 2.0) * math.exp(math.lgamma((q + 1.0) / 2.0)) / math.sqrt(math.pi)
+    out = c * hyp1f1(-q / 2.0, 0.5, -0.5 * np.where(far, 0.0, mu2))
+    out[far] = np.abs(mu[far]) ** q
+    return out
+
+
+def _std_small_side(a: np.ndarray, q: float) -> np.ndarray:
+    """E(Z - a)_+^q for a >= 0: Gamma(q+1)/sqrt(2 pi) e^{-a^2/4} D_{-q-1}(a)."""
+    out = np.zeros_like(a)
+    live = a * a <= 2.0 * _SMALL_SIDE_CUT
+    x = a[live]
+    c = math.exp(math.lgamma(q + 1.0)) / _SQRT_2PI
+    out[live] = c * np.exp(-0.25 * x * x) * pbdv(-q - 1.0, x)[0]
+    return out
+
+
+def gaussian_abs_moment(mean, sd: float, q: float):
+    """E|mean + sd*Z|^q for Z ~ N(0,1), sd >= 0, q > 0; vectorized over ``mean``.
+
+    The closed form sd^q 2^{q/2} Gamma((q+1)/2)/sqrt(pi) 1F1(-q/2; 1/2;
+    -mean^2/(2 sd^2)) (Winkelbauer, arXiv:1209.4340); |mean|^q for sd = 0.
+    Returns a float for a scalar ``mean``, else an ndarray.
+    """
+    _check_gaussian_args(sd, q)
+    m = np.atleast_1d(np.asarray(mean, dtype=float))
     if sd == 0.0:
-        return abs(mean) ** q
-    if mean == 0.0:
-        return 2.0 ** (q / 2.0) * math.exp(math.lgamma((q + 1.0) / 2.0)) / math.sqrt(math.pi) * sd**q
-    kink = -mean / sd
-    r = _GAUSS_WINDOW
-
-    def f(t: float) -> float:
-        return abs(mean + sd * t) ** q * math.exp(-0.5 * t * t) / _SQRT_2PI
-
-    total, err = 0.0, 0.0
-    if -r < kink < r:
-        for a, b in ((-r, kink), (kink, r)):
-            v, e = _quad(f, a, b)
-            total += v
-            err += e
-    else:
-        total, err = _quad(f, -r, r)
-    if err > max(1e-10, 1e-12 * abs(total)):
-        raise QuadratureNotConverged(
-            f"gaussian moment quadrature error {err:.3e} for mean={mean}, sd={sd}, q={q}"
-        )
-    return total
+        return _as_result(np.abs(m) ** q, mean)
+    return _as_result(sd**q * _std_abs_moment(m / sd, q), mean)
 
 
-def gaussian_part_moment(mean: float, sd: float, q: float, side: str) -> float:
-    """E((mean + sd*Z)_+)^q or E((mean + sd*Z)_-)^q for Z ~ N(0,1)."""
-    if side == "negative":
-        return gaussian_part_moment(-mean, sd, q, "positive")
-    if side != "positive":
+def gaussian_part_moment(mean, sd: float, q: float, side: str):
+    """E((mean + sd*Z)_+)^q or E((mean + sd*Z)_-)^q for Z ~ N(0,1); vectorized
+    over ``mean``.
+
+    The part on the side away from the mean comes from the parabolic cylinder
+    function D_{-q-1}; the other part is the absolute moment less it, which
+    never cancels because the former is at most half of the absolute moment.
+    """
+    if side not in ("positive", "negative"):
         raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
-    if sd < 0.0:
-        raise ValueError(f"sd must be >= 0, got {sd}")
-    if not q > 0.0:
-        raise ValueError(f"q must be > 0, got {q}")
+    _check_gaussian_args(sd, q)
+    m = np.atleast_1d(np.asarray(mean, dtype=float))
+    if side == "negative":
+        m = -m
     if sd == 0.0:
-        return max(mean, 0.0) ** q
-    if mean == 0.0:
-        return gaussian_abs_moment(0.0, sd, q) / 2.0
-    kink = -mean / sd
-    r = _GAUSS_WINDOW
-    if kink >= r:
-        return 0.0
-
-    def f(t: float) -> float:
-        return (mean + sd * t) ** q * math.exp(-0.5 * t * t) / _SQRT_2PI
-
-    val, err = _quad(f, max(kink, -r), r)
-    if err > max(1e-10, 1e-12 * abs(val)):
-        raise QuadratureNotConverged(
-            f"gaussian part-moment quadrature error {err:.3e} for mean={mean}, sd={sd}, q={q}"
-        )
-    return val
+        return _as_result(np.clip(m, 0.0, None) ** q, mean)
+    mu = m / sd
+    out = _std_small_side(np.abs(mu), q)
+    large = mu > 0.0
+    out[large] = _std_abs_moment(mu[large], q) - out[large]
+    return _as_result(sd**q * out, mean)

@@ -52,11 +52,41 @@ _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
+def _legendre_with_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, n * (x * p - p_prev) / ((x - 1.0) * (x + 1.0))
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [0, 1], cached per order."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Gauss-Legendre nodes and weights mapped to [0, 1], cached per order.
+
+    Newton's method on P_n for the nodes in [-1, 0], all at once, from
+    Tricomi's asymptotic guesses; the rest follow by symmetry.  The weights
+    are 2/((1 - x^2) P_n'(x)^2).
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    theta = math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5)
+    x = -(1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(theta)
+    for _ in range(10):
+        p, dp = _legendre_with_derivative(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    p, dp = _legendre_with_derivative(n, x)
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    w = 2.0 / (one_minus_x2 * dp * dp)
+    # x is the node rounded to float64; move w to the exact node x - p/dp
+    # along d log w/dx = -2x/(1 - x^2), which matters next to the endpoints
+    w *= 1.0 + 2.0 * x * (p / dp) / one_minus_x2
+    nodes = np.concatenate([x, -x[: n // 2][::-1]])
+    weights = np.concatenate([w, w[: n // 2][::-1]])
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def adaptive_gauss_kronrod(

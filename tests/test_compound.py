@@ -9,6 +9,7 @@ import pytest
 from conftest import single_atom
 from sharp_rosenthal.compound import (
     CompoundLaw,
+    _contour_truncation,
     cp_abs_moment,
     cp_abs_moment_crosscheck,
     cp_abs_moment_series,
@@ -247,3 +248,35 @@ class TestSaddleAbscissa:
                 options={"xatol": 1e-10 * sigma},
             )
             assert found.x == pytest.approx(sigma, rel=1e-6), (law, q)
+
+
+class TestContourTruncation:
+    @pytest.mark.parametrize("q", [2.5, 4.0, 5.0, 7.0])
+    def test_polynomial_tail_certified_against_passed_tol(self, q):
+        # without a Gaussian part the discarded tail of int M(z)/z^{q+1} dtau
+        # is at most 2 M(sigma) T^{-q}/q, and T is the smallest such width
+        # above its floor max(10 sigma, 1)
+        rng = np.random.default_rng(int(10 * q))
+        for _ in range(4):
+            law = random_law(rng, gaussian=False)
+            sigma = saddle_abscissa(law, q, DEFAULT_CONFIG.tol)
+            tol = 1e-12
+            t = _contour_truncation(law, q, sigma, tol)
+            tail = 2.0 * cp_mgf(law, complex(sigma)).real * t ** (-q) / q
+            assert tail <= tol * (1.0 + 1e-12)
+            assert t == max(10.0 * sigma, 1.0) or tail >= tol * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("q", [2.5, 4.0, 5.0, 7.0])
+    def test_gaussian_tail_certified_against_passed_tol(self, q):
+        # Gaussian variance w0 = 0.6: the tail also has the bound
+        # 2 M(sigma) sigma^{-q-1} e^{-w0 T^2/2}/(w0 T), and T takes the shorter
+        law = CompoundLaw(
+            0.2, DiscreteRV.two_point_zero_mean(-0.5, 0.5), LevyVarianceMeasure([(1.3, 0.4), (0.0, 0.6)])
+        )
+        sigma = saddle_abscissa(law, q, DEFAULT_CONFIG.tol)
+        m_sigma = cp_mgf(law, complex(sigma)).real
+        for tol in (1e-8, 1e-12, 1e-16):
+            t = _contour_truncation(law, q, sigma, tol)
+            poly = 2.0 * m_sigma * t ** (-q) / q
+            gauss = 2.0 * m_sigma * sigma ** (-q - 1.0) * math.exp(-0.3 * t * t) / (0.6 * t)
+            assert min(poly, gauss) <= tol * (1.0 + 1e-12)

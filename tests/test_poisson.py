@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -121,6 +122,41 @@ class TestSkellam:
         assert skellam_abs_moment_about(1.3, 0.8, c, x0, q) == pytest.approx(brute, rel=1e-12)
 
 
+def mp_abs_moment(mean: float, sd: float, q: float) -> mpmath.mpf:
+    """E|mean + sd Z|^q at 30 digits from mpmath's 1F1."""
+    with mpmath.workdps(30):
+        m, s, q = mpmath.mpf(mean), mpmath.mpf(sd), mpmath.mpf(q)
+        return (
+            s**q
+            * 2 ** (q / 2)
+            * mpmath.gamma((q + 1) / 2)
+            / mpmath.sqrt(mpmath.pi)
+            * mpmath.hyp1f1(-q / 2, 0.5, -(m * m) / (2 * s * s))
+        )
+
+
+def mp_positive_part(mean: float, sd: float, q: float) -> mpmath.mpf:
+    """E(mean + sd Z)_+^q at 30 digits from mpmath's parabolic cylinder
+    function, valid on both sides of 0."""
+    with mpmath.workdps(30):
+        mu, s, q = mpmath.mpf(mean) / mpmath.mpf(sd), mpmath.mpf(sd), mpmath.mpf(q)
+        return (
+            s**q
+            * mpmath.gamma(q + 1)
+            / mpmath.sqrt(2 * mpmath.pi)
+            * mpmath.exp(-mu * mu / 4)
+            * mpmath.pcfd(-q - 1, -mu)
+        )
+
+
+def random_gaussian_cases(seed: int, n: int):
+    rng = np.random.default_rng(seed)
+    return [
+        (float(rng.uniform(-30, 30)), float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.5, 8.0)))
+        for _ in range(n)
+    ]
+
+
 class TestGaussianMoments:
     def test_closed_forms(self):
         assert gaussian_abs_moment(0.0, 1.0, 2.0) == pytest.approx(1.0, rel=1e-14)
@@ -145,6 +181,14 @@ class TestGaussianMoments:
 
     def test_sd_zero(self):
         assert gaussian_abs_moment(-1.5, 0.0, 3.0) == 1.5**3
+        means = np.array([-1.5, 0.0, 2.0])
+        np.testing.assert_array_equal(gaussian_abs_moment(means, 0.0, 3.0), np.abs(means) ** 3)
+        np.testing.assert_array_equal(
+            gaussian_part_moment(means, 0.0, 3.0, "positive"), [0.0, 0.0, 8.0]
+        )
+        np.testing.assert_array_equal(
+            gaussian_part_moment(means, 0.0, 3.0, "negative"), [1.5**3, 0.0, 0.0]
+        )
 
     def test_part_decomposition(self):
         rng = np.random.default_rng(8)
@@ -157,3 +201,88 @@ class TestGaussianMoments:
                 m, s, q, "negative"
             )
             assert parts == pytest.approx(total, rel=1e-11)
+
+    def test_abs_moment_vs_mpmath(self):
+        for m, s, q in random_gaussian_cases(41, 300):
+            ref = mp_abs_moment(m, s, q)
+            assert abs(gaussian_abs_moment(m, s, q) - ref) <= 1e-13 * ref
+
+    def test_part_moments_vs_mpmath(self):
+        for m, s, q in random_gaussian_cases(42, 300):
+            scale = 1e-14 * float(mp_abs_moment(m, s, q))
+            pos = gaussian_part_moment(m, s, q, "positive")
+            neg = gaussian_part_moment(m, s, q, "negative")
+            assert abs(pos - mp_positive_part(m, s, q)) <= scale
+            assert abs(neg - mp_positive_part(-m, s, q)) <= scale
+
+    def test_array_mean_matches_scalar_and_mpmath(self):
+        means = np.linspace(-12.0, 12.0, 49).reshape(7, 7)
+        sd, q = 1.7, 5.3
+        values = {
+            "abs": gaussian_abs_moment(means, sd, q),
+            "positive": gaussian_part_moment(means, sd, q, "positive"),
+            "negative": gaussian_part_moment(means, sd, q, "negative"),
+        }
+        for kind, arr in values.items():
+            assert isinstance(arr, np.ndarray) and arr.shape == means.shape
+        for m, a, pos, neg in zip(
+            means.ravel(), values["abs"].ravel(), values["positive"].ravel(), values["negative"].ravel()
+        ):
+            assert a == gaussian_abs_moment(float(m), sd, q)
+            assert pos == gaussian_part_moment(float(m), sd, q, "positive")
+            assert neg == gaussian_part_moment(float(m), sd, q, "negative")
+            ref = mp_abs_moment(m, sd, q)
+            assert abs(a - ref) <= 1e-13 * ref
+            assert abs(pos - mp_positive_part(m, sd, q)) <= 1e-14 * ref
+            assert abs(neg - mp_positive_part(-m, sd, q)) <= 1e-14 * ref
+
+    def test_scalar_returns_float(self):
+        assert type(gaussian_abs_moment(1.0, 2.0, 3.0)) is float
+        assert type(gaussian_part_moment(np.float64(-1.0), 2.0, 3.0, "negative")) is float
+
+    @pytest.mark.parametrize("q", [0.5, 2.5, 4.0, 7.9, 12.0])
+    def test_far_mean_ratio(self, q):
+        # |m|/s up to 1e6: the abs moment tends to |m|^q, the small side underflows
+        for ratio in (1e2, 1e4, 1e6, -1e6):
+            sd = 0.37
+            m = ratio * sd
+            ref = mp_abs_moment(m, sd, q)
+            assert abs(gaussian_abs_moment(m, sd, q) - ref) <= 1e-13 * ref
+            for side, mean in (("positive", m), ("negative", -m)):
+                assert abs(gaussian_part_moment(m, sd, q, side) - mp_positive_part(mean, sd, q)) <= (
+                    1e-14 * ref
+                )
+
+    @pytest.mark.parametrize("q", [4.0, 6.0, 12.0])
+    def test_even_order_beyond_hypergeometric_range(self, q):
+        # scipy's hyp1f1(-q/2, 1/2, -x) is NaN for even q >= 4 and |m|/s >= 1e10
+        m = 3.0e10
+        ref = mp_abs_moment(m, 1.0, q)
+        assert abs(gaussian_abs_moment(m, 1.0, q) - ref) <= 1e-13 * ref
+        assert gaussian_part_moment(-m, 1.0, q, "negative") == pytest.approx(float(ref), rel=1e-13)
+
+    def test_mean_zero(self):
+        for q in (0.5, 2.5, 5.0, 7.5):
+            ref = mp_abs_moment(0.0, 1.3, q)
+            assert abs(gaussian_abs_moment(0.0, 1.3, q) - ref) <= 1e-13 * ref
+            for side in ("positive", "negative"):
+                assert abs(gaussian_part_moment(0.0, 1.3, q, side) - ref / 2) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("mu", [37.0, 38.5, 40.0, 60.0, 5000.0])
+    def test_small_side_underflow_guard(self, mu):
+        # beyond |mu| ~ 37.6 the small side underflows; pbdv is NaN near 5000
+        q = 3.5
+        small = gaussian_part_moment(-mu, 1.0, q, "positive")
+        large = gaussian_part_moment(mu, 1.0, q, "positive")
+        assert math.isfinite(small) and math.isfinite(large)
+        assert small == pytest.approx(float(mp_positive_part(-mu, 1.0, q)), rel=1e-12, abs=1e-300)
+        ref = mp_abs_moment(mu, 1.0, q)
+        assert abs(large - ref) <= 1e-13 * ref
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            gaussian_abs_moment(1.0, -1.0, 3.0)
+        with pytest.raises(ValueError):
+            gaussian_part_moment(1.0, 1.0, 0.0, "positive")
+        with pytest.raises(ValueError):
+            gaussian_part_moment(1.0, 1.0, 3.0, "both")

@@ -1,6 +1,7 @@
 """Exact Rosenthal-type moment bounds for sums of independent zero-mean
-random variables, with the full supporting machinery: centered Poisson /
-Skellam / compound-Poisson fractional moments, a Fourier-Laplace contour
+random variables, with the full supporting machinery: fractional moments
+of compound-Poisson laws (a single centered Poisson is the one-atom case)
+from one certified series engine, Skellam moments, a Fourier-Laplace contour
 engine, a calculus of variations over Lévy measures, extremal-family scans,
 and a brute-force verification harness."""
 
@@ -36,10 +37,7 @@ from .poisson import (
     SeriesConfig,
     gaussian_abs_moment,
     gaussian_part_moment,
-    poisson_abs_central_moment,
     poisson_central_moment_even,
-    poisson_part_moment,
-    skellam_abs_moment,
     skellam_abs_moment_about,
 )
 from .compound import (

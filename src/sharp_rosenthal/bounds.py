@@ -299,7 +299,8 @@ def q_point_from_c(p: float, A: float, B: float, c1: float, c2: float) -> Option
 
     Returns None when a weight is genuinely negative (infeasible direction);
     clamps roundoff-level negatives to 0 so boundary extremizers stay
-    representable.  Raises :class:`SingularSystem` when |c1| = |c2| or a
+    representable, and returns None when the clamped point no longer meets
+    the (A, B) constraints.  Raises :class:`SingularSystem` when |c1| = |c2| or a
     scale is zero.
     """
     if c1 == 0.0 or c2 == 0.0:
@@ -315,7 +316,10 @@ def q_point_from_c(p: float, A: float, B: float, c1: float, c2: float) -> Option
     clamp = 1e-12
     if lam1 < -clamp or lam2 < -clamp:
         return None
-    return QPoint(c1, c2, max(lam1, 0.0), max(lam2, 0.0))
+    point = QPoint(c1, c2, max(lam1, 0.0), max(lam2, 0.0))
+    # at a large |c| a clamped roundoff-level lambda can carry a macroscopic
+    # share of A
+    return point if point.satisfies(p, A, B) else None
 
 
 @dataclass(frozen=True)

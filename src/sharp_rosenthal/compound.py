@@ -8,7 +8,10 @@ scaled centered Poisson u*(Pi_lam - lam) with lam = w/u^2.
 
 The *series* engine composes truncated Poisson grids (certified Minkowski
 envelopes bound each discarded tail) and weights the residual means with the
-closed-form Gaussian moment, evaluated for the whole grid in one call.  The
+closed-form Gaussian moment.  One kernel, ``_expect``, computes every series
+moment -- absolute, positive and negative parts, and the shifted moments of
+:class:`ShiftedMomentEvaluator` -- over rows of residual means, one Gaussian
+call per grid or per block of shifts.  The
 *contour* engine evaluates the Fourier-Laplace identity
     E (x0+X+Y_H)_+^q = Gamma(q+1)/(2*pi*i) int_{Re z=sigma} dz z^{-(q+1)} M(z)
 on the vertical line Re z = sigma > 0 with the principal branch of z^{q+1};
@@ -20,7 +23,6 @@ axis and its cancellation, hence its roundoff, least.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -58,7 +60,6 @@ __all__ = [
     "cp_abs_moment",
     "cp_abs_moment_crosscheck",
     "ShiftedMomentEvaluator",
-    "shifted_moments",
 ]
 
 #: Desk-scale cap on nonzero-location atoms in the series engine.  The
@@ -105,15 +106,6 @@ def _r1_horner(u):
     return acc
 
 
-def _cexpm1(w: complex) -> complex:
-    """exp(w) - 1 for complex w without cancellation near 0."""
-    a, b = w.real, w.imag
-    return complex(
-        math.expm1(a) * math.cos(b) - 2.0 * math.sin(0.5 * b) ** 2,
-        math.exp(a) * math.sin(b),
-    )
-
-
 def r1_exp(u):
     """(e^u - 1 - u)/u^2, the normalized first-order Taylor remainder of exp.
 
@@ -121,18 +113,12 @@ def r1_exp(u):
     the subtractive cancellation of the direct formula.  Accepts real or
     complex scalars and returns the matching kind.
     """
-    if isinstance(u, complex):
-        if abs(u) < _R1_TAYLOR_CUT:
-            return complex(_r1_horner(u))
-        return (_cexpm1(u) - u) / (u * u)
-    u = float(u)
-    if abs(u) < _R1_TAYLOR_CUT:
-        return float(_r1_horner(u))
-    return (math.expm1(u) - u) / (u * u)
+    value = _r1_exp_array(np.atleast_1d(u))[0]
+    return complex(value) if isinstance(u, complex) else float(value.real)
 
 
 def _r1_exp_array(w: np.ndarray) -> np.ndarray:
-    """Vectorized complex r1_exp with the same branch structure."""
+    """Vectorized complex r1_exp."""
     w = np.asarray(w, dtype=complex)
     out = np.empty_like(w)
     small = np.abs(w) < _R1_TAYLOR_CUT
@@ -142,6 +128,7 @@ def _r1_exp_array(w: np.ndarray) -> np.ndarray:
     if big.any():
         wb = w[big]
         a, b = wb.real, wb.imag
+        # exp(w) - 1 without cancellation near 0
         expm1_wb = np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 + 1j * np.exp(a) * np.sin(b)
         out[big] = (expm1_wb - wb) / (wb * wb)
     return out
@@ -152,26 +139,20 @@ def cp_mgf(law: CompoundLaw, z):
 
     Equals e^{z x0} E e^{zX} exp{z^2 sum_u w(u) r1_exp(z u)}; on a vertical
     line the modulus never exceeds the value at the real point z = sigma.
-    Accepts a complex scalar or ndarray.
+    Accepts a complex scalar, returning a complex, or a 1-D ndarray.
     """
+    zc = np.atleast_1d(np.asarray(z, dtype=complex))
     xs = law.x0 + law.background.values
     ps = law.background.probs
     # e^{z top} moves into the exponent so that the background and the Levy
     # factor cannot overflow and underflow separately at large Re z
     top = float(xs.max())
-    if isinstance(z, np.ndarray):
-        zc = z.astype(complex)
-        exponent = zc * top
-        for u, w in law.levy.atoms:
-            exponent += w * zc * zc * _r1_exp_array(zc * u)
-        background = np.einsum("j,kj->k", ps, np.exp(np.multiply.outer(zc, xs - top)))
-        return background * np.exp(exponent)
-    zc = complex(z)
     exponent = zc * top
     for u, w in law.levy.atoms:
-        exponent += w * zc * zc * r1_exp(zc * u)
-    background = sum(p * cmath.exp(zc * (x - top)) for x, p in zip(xs, ps))
-    return background * cmath.exp(exponent)
+        exponent += w * zc * zc * _r1_exp_array(zc * u)
+    background = np.einsum("j,kj->k", ps, np.exp(np.multiply.outer(zc, xs - top)))
+    out = background * np.exp(exponent)
+    return complex(out[0]) if np.ndim(z) == 0 else out
 
 
 class _LawGrid(NamedTuple):
@@ -240,33 +221,56 @@ def _prune_grid(grid: _LawGrid, q: float, budget: float) -> _LawGrid:
     )
 
 
-def cp_abs_moment_series(law: CompoundLaw, q: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
-    """E|x0 + X + Y_H|^q by nested certified summation."""
+def _moment_grid(
+    law: CompoundLaw, q: float, cfg: SeriesConfig, shift_bound: float = 0.0
+) -> _LawGrid:
+    """The certified grid every moment of ``law`` is summed over; with a
+    Gaussian part, points too light to matter are pruned."""
     if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
-    grid = _law_grid(law, q, cfg)
-    if grid.sd == 0.0:
-        return float(grid.probs @ np.abs(grid.values) ** q)
-    grid = _prune_grid(grid, q, cfg.tol / 4.0)
-    return math.fsum((grid.probs * gaussian_abs_moment(grid.values, grid.sd, q)).tolist())
+    grid = _law_grid(law, q, cfg, shift_bound)
+    if grid.sd > 0.0:
+        grid = _prune_grid(grid, q, cfg.tol / 4.0)
+    return grid
+
+
+def _expect(grid: _LawGrid, q: float, kind: str, pts: np.ndarray) -> np.ndarray:
+    """sum_j p_j E f(pts[i, j] + sd Z) for each row i of ``pts``.
+
+    ``kind`` selects f among |.|^q ("abs"), (.)_+^q ("pos"), (.)_-^q ("neg");
+    column j of ``pts`` is a residual mean of grid point j, p_j its weight.
+    """
+    if grid.sd > 0.0:
+        if kind == "abs":
+            moments = gaussian_abs_moment(pts, grid.sd, q)
+        else:
+            side = "positive" if kind == "pos" else "negative"
+            moments = gaussian_part_moment(pts, grid.sd, q, side)
+        return np.array([math.fsum(row.tolist()) for row in moments * grid.probs])
+    if kind == "abs":
+        weights = np.abs(pts) ** q
+    elif kind == "pos":
+        weights = np.clip(pts, 0.0, None) ** q
+    else:
+        weights = np.clip(-pts, 0.0, None) ** q
+    return weights @ grid.probs
+
+
+def cp_abs_moment_series(law: CompoundLaw, q: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
+    """E|x0 + X + Y_H|^q by nested certified summation."""
+    grid = _moment_grid(law, q, cfg)
+    return float(_expect(grid, q, "abs", grid.values[None, :])[0])
 
 
 def cp_part_moment_series(
     law: CompoundLaw, q: float, side: str = "positive", cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> float:
     """E((x0 + X + Y_H)_+)^q or the negative-part analogue, by the series engine."""
-    if side == "negative":
-        return cp_part_moment_series(law.reflected(), q, "positive", cfg)
-    if side != "positive":
+    kinds = {"positive": "pos", "negative": "neg"}
+    if side not in kinds:
         raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
-    if not q > 0.0:
-        raise ValueError(f"q must be > 0, got {q}")
-    grid = _law_grid(law, q, cfg)
-    if grid.sd == 0.0:
-        return float(grid.probs @ np.clip(grid.values, 0.0, None) ** q)
-    grid = _prune_grid(grid, q, cfg.tol / 4.0)
-    moments = gaussian_part_moment(grid.values, grid.sd, q, "positive")
-    return math.fsum((grid.probs * moments).tolist())
+    grid = _moment_grid(law, q, cfg)
+    return float(_expect(grid, q, kinds[side], grid.values[None, :])[0])
 
 
 class ShiftedMomentEvaluator:
@@ -287,15 +291,10 @@ class ShiftedMomentEvaluator:
     ):
         if kind not in ("abs", "pos", "neg"):
             raise ValueError(f"kind must be 'abs', 'pos' or 'neg', got {kind!r}")
-        if not q > 0.0:
-            raise ValueError(f"q must be > 0, got {q}")
         self.q = q
         self.kind = kind
         self.shift_bound = float(shift_bound)
-        grid = _law_grid(law, q, cfg, shift_bound=self.shift_bound)
-        if grid.sd > 0.0:
-            grid = _prune_grid(grid, q, cfg.tol / 4.0)
-        self._grid = grid
+        self._grid = _moment_grid(law, q, cfg, self.shift_bound)
 
     def __call__(self, shifts: np.ndarray) -> np.ndarray:
         shifts = np.asarray(shifts, dtype=float)
@@ -305,44 +304,13 @@ class ShiftedMomentEvaluator:
             raise ValueError(
                 f"shift {np.max(np.abs(shifts))} exceeds certified bound {self.shift_bound}"
             )
-        grid, q = self._grid, self.q
+        grid = self._grid
         out = np.empty(shifts.size)
         block = max(1, (1 << 23) // max(1, grid.values.size))
         for start in range(0, shifts.size, block):
-            pts = shifts[start : start + block, None] + grid.values[None, :]
-            if grid.sd > 0.0:
-                weighted = self._gaussian_moments(pts) * grid.probs
-                out[start : start + block] = [math.fsum(row.tolist()) for row in weighted]
-                continue
-            if self.kind == "abs":
-                weights = np.abs(pts) ** q
-            elif self.kind == "pos":
-                weights = np.clip(pts, 0.0, None) ** q
-            else:
-                weights = np.clip(-pts, 0.0, None) ** q
-            out[start : start + block] = weights @ grid.probs
+            rows = slice(start, start + block)
+            out[rows] = _expect(grid, self.q, self.kind, shifts[rows, None] + grid.values[None, :])
         return out
-
-    def _gaussian_moments(self, means: np.ndarray) -> np.ndarray:
-        if self.kind == "abs":
-            return gaussian_abs_moment(means, self._grid.sd, self.q)
-        side = "positive" if self.kind == "pos" else "negative"
-        return gaussian_part_moment(means, self._grid.sd, self.q, side)
-
-
-def shifted_moments(
-    law: CompoundLaw,
-    q: float,
-    shifts: np.ndarray,
-    cfg: SeriesConfig = DEFAULT_CONFIG,
-    kind: str = "abs",
-) -> np.ndarray:
-    """One-shot wrapper around :class:`ShiftedMomentEvaluator`."""
-    shifts = np.asarray(shifts, dtype=float)
-    if shifts.size == 0:
-        return np.zeros(0)
-    bound = float(np.max(np.abs(shifts)))
-    return ShiftedMomentEvaluator(law, q, bound, cfg, kind)(shifts)
 
 
 def _log_mgf(law: CompoundLaw, sigma: float) -> tuple[float, float]:
@@ -397,7 +365,7 @@ def _contour_truncation(law: CompoundLaw, q: float, sigma: float, tol: float) ->
     w0 adds the factor e^{-w0 tau^2/2}, whose tail with |z| >= sigma is at
     most 2 M(sigma) sigma^{-q-1} e^{-w0 T^2/2}/(w0 T).
     """
-    m_sigma = abs(cp_mgf(law, complex(sigma, 0.0)))
+    m_sigma = math.exp(_log_mgf(law, sigma)[0])
     t = max((2.0 * m_sigma / (q * tol)) ** (1.0 / q), 10.0 * sigma, 1.0)
     w0 = law.levy.gaussian_variance()
     if w0 > 0.0:

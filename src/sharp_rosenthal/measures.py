@@ -96,14 +96,6 @@ class DiscreteRV:
         """Law of X + offset."""
         return DiscreteRV([(v + offset, p) for v, p in self.atoms])
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        """Whether the law is invariant under x -> -x within ``tol``."""
-        rev = self.atoms[::-1]
-        return all(
-            abs(v + rv) <= tol and abs(p - rp) <= tol
-            for (v, p), (rv, rp) in zip(self.atoms, rev)
-        )
-
     def to_json_dict(self) -> dict:
         return {"atoms": [[v, p] for v, p in self.atoms]}
 

@@ -1,5 +1,10 @@
-"""Fractional and even-integer moments of centered Poisson, Skellam, and
-Gaussian laws.
+"""Building blocks of the moment engines: the Poisson pmf and its certified
+truncation, exact even central moments and L^q norm bounds of the centered
+Poisson law, the Skellam double series, and closed-form Gaussian moments.
+
+Moments of a single centered Poisson law, E|Pi_lam - lam|^q and its parts,
+are those of the one-atom compound law [(1.0, lam)] and come from the series
+engine in :mod:`sharp_rosenthal.compound`.
 
 All infinite series are truncated with *certified* tails: summation proceeds
 past k = max(2*lambda, k0) to the first index where the consecutive-term
@@ -25,11 +30,8 @@ from .errors import TailNotConverged
 __all__ = [
     "SeriesConfig",
     "DEFAULT_CONFIG",
-    "poisson_abs_central_moment",
-    "poisson_part_moment",
     "poisson_central_moment_even",
     "poisson_centered_norm_bound",
-    "skellam_abs_moment",
     "skellam_abs_moment_about",
     "gaussian_abs_moment",
     "gaussian_part_moment",
@@ -108,53 +110,6 @@ def certified_upper_cutoff(
             if log_next <= math.log(tol / 2.0):
                 return k
         k = max(k + 1, int(1.1 * k))
-
-
-def poisson_abs_central_moment(
-    lam: float, q: float, cfg: SeriesConfig = DEFAULT_CONFIG
-) -> float:
-    """E|Pi_lam - lam|^q for a Poisson variable Pi_lam with mean lam > 0.
-
-    Direct summation of |k - lam|^q * pmf(k) with a certified tail below
-    ``cfg.tol``.
-    """
-    if not lam > 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    if not q > 0.0:
-        raise ValueError(f"q must be > 0, got {q}")
-    cutoff = certified_upper_cutoff(lam, lam, q, cfg.tol, cfg.max_terms)
-    ks = np.arange(0, cutoff + 1, dtype=float)
-    terms = poisson_pmf(ks, lam) * np.abs(ks - lam) ** q
-    return float(math.fsum(terms.tolist()))
-
-
-def poisson_part_moment(
-    lam: float,
-    q: float,
-    side: str,
-    cfg: SeriesConfig = DEFAULT_CONFIG,
-) -> float:
-    """E (Pi_lam - lam)_+^q or E (Pi_lam - lam)_-^q, for q > 2.
-
-    The positive side sums k > lam, the negative side the finitely many
-    k < lam; the two sides reconstruct the absolute moment exactly.
-    """
-    if not lam > 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    if not q > 2.0:
-        raise ValueError(f"q must be > 2, got {q}")
-    if side == "negative":
-        ks = np.arange(0, math.ceil(lam), dtype=float)
-        if ks.size == 0:
-            return 0.0
-        terms = poisson_pmf(ks, lam) * (lam - ks) ** q
-        return float(math.fsum(terms.tolist()))
-    if side != "positive":
-        raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
-    cutoff = certified_upper_cutoff(lam, lam, q, cfg.tol, cfg.max_terms)
-    ks = np.arange(math.floor(lam) + 1, cutoff + 1, dtype=float)
-    terms = poisson_pmf(ks, lam) * (ks - lam) ** q
-    return float(math.fsum(terms.tolist()))
 
 
 def poisson_central_moment_even(lam: float, n: int) -> float:
@@ -237,17 +192,6 @@ def skellam_abs_moment_about(
     p2 = poisson_pmf(ks, lam2)
     vals = np.abs(x0 + c * np.subtract.outer(js, ks)) ** q
     return float(p1 @ vals @ p2)
-
-
-def skellam_abs_moment(
-    lam1: float,
-    lam2: float,
-    c: float,
-    q: float,
-    cfg: SeriesConfig = DEFAULT_CONFIG,
-) -> float:
-    """E|c (Pi_lam1 - Pi'_lam2)|^q for independent Poisson variables."""
-    return skellam_abs_moment_about(lam1, lam2, c, 0.0, q, cfg)
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)

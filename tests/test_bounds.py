@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_skellam_abs, brute_triple_poisson_abs
+from conftest import brute_poisson_abs_central, brute_skellam_abs, brute_triple_poisson_abs
 from sharp_rosenthal.bounds import (
     best_constant,
     classical_rosenthal_constant,
@@ -15,17 +15,14 @@ from sharp_rosenthal.bounds import (
     limit_compound,
     q_point_from_c,
     q_scan,
+    scan_axis,
     solve_lambda_c,
     symmetric_bound,
 )
 from sharp_rosenthal.compound import CompoundLaw, cp_abs_moment
 from sharp_rosenthal.errors import NotZeroMean, SingularSystem, UnsupportedExponents
 from sharp_rosenthal.measures import DiscreteRV, LevyVarianceMeasure
-from sharp_rosenthal.poisson import (
-    gaussian_abs_moment,
-    poisson_abs_central_moment,
-    skellam_abs_moment,
-)
+from sharp_rosenthal.poisson import gaussian_abs_moment, skellam_abs_moment_about
 from sharp_rosenthal.verify import random_zero_mean_rv
 
 D0 = DiscreteRV.delta(0.0)
@@ -83,7 +80,7 @@ class TestEvenPBound:
 class TestExactBound:
     def test_p5_unit(self):
         result = exact_bound(5.0, 5.0, 1.0, 1.0)
-        assert result.value == pytest.approx(poisson_abs_central_moment(1.0, 5.0), rel=1e-11)
+        assert result.value == pytest.approx(brute_poisson_abs_central(1.0, 5.0), rel=1e-11)
         assert result.achieved_sign == "both"
         assert result.regime == "p_ge_5"
         assert (result.certificate.lam, result.certificate.c) == (1.0, 1.0)
@@ -180,7 +177,7 @@ class TestSymmetricBound:
     def test_second_moment_sanity_via_engine(self):
         # the same Skellam machinery at q = 2 returns the variance c^2 lam = B
         lc = solve_lambda_c(5.0, 1.0, 1.0)
-        var = skellam_abs_moment(lc.lam / 2.0, lc.lam / 2.0, lc.c, 2.0)
+        var = skellam_abs_moment_about(lc.lam / 2.0, lc.lam / 2.0, lc.c, 0.0, 2.0)
         assert var == pytest.approx(1.0, abs=1e-10)
 
     def test_exponent_gate(self):
@@ -214,7 +211,7 @@ class TestBestConstant:
 
     def test_p5(self):
         assert best_constant(5.0, 1.0) == pytest.approx(
-            poisson_abs_central_moment(1.0, 5.0), rel=1e-11
+            brute_poisson_abs_central(1.0, 5.0), rel=1e-11
         )
         assert classical_rosenthal_constant(5.0) == pytest.approx(
             2.5**2.5 * 2.0**11.25, rel=1e-15
@@ -257,6 +254,18 @@ class TestQPoint:
     def test_infeasible(self):
         assert q_point_from_c(5.0, 1.0, 1.0, 2.0, 3.0) is None
 
+    def test_clamped_point_leaves_family(self):
+        # at p = 6.6 the cell (c1, c2) = (-100, -1.668) solves to lambda1 of
+        # about -1e-13, which carries a macroscopic share of A: clamping it to
+        # 0 breaks the A constraint, so the cell is infeasible
+        c1, c2 = scan_axis(1.0, 20)[[0, 4]]
+        assert q_point_from_c(6.6, 1.0, 1.0, float(c1), float(c2)) is None
+        for c1 in scan_axis(1.0, 20):
+            for c2 in scan_axis(1.0, 20):
+                if abs(c1) != abs(c2):
+                    point = q_point_from_c(6.6, 1.0, 1.0, float(c1), float(c2))
+                    assert point is None or point.satisfies(6.6, 1.0, 1.0)
+
     def test_singular(self):
         with pytest.raises(SingularSystem):
             q_point_from_c(5.0, 1.0, 1.0, 2.0, -2.0)
@@ -278,6 +287,13 @@ class TestQScan:
         assert abs(result.best_point.c1) == pytest.approx(1.0, rel=1e-12)
         assert result.best_point.lambda2 == 0.0
         assert result.best_value <= result.reference_bound * (1.0 + 1e-8)
+
+    def test_high_p_scan_stays_in_family(self):
+        # p >= 6.6 used to evaluate clamped cells outside the (A, B) family
+        # and raise BoundExceeded
+        result = q_scan(6.6, 6.6, 1.0, 1.0)
+        reference = exact_bound(6.6, 6.6, 1.0, 1.0).value
+        assert result.best_value == pytest.approx(reference, rel=1e-12)
 
     def test_low_regime_approach_from_below(self):
         result = q_scan(2.5, 2.5, 1.0, 1.0, grid=8)

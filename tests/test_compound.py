@@ -9,6 +9,7 @@ import pytest
 from conftest import single_atom
 from sharp_rosenthal.compound import (
     CompoundLaw,
+    ShiftedMomentEvaluator,
     _contour_truncation,
     cp_abs_moment,
     cp_abs_moment_crosscheck,
@@ -18,7 +19,6 @@ from sharp_rosenthal.compound import (
     cp_part_moment_series,
     r1_exp,
     saddle_abscissa,
-    shifted_moments,
 )
 from sharp_rosenthal.errors import ExponentTooSmall, ImaginaryResidualTooLarge, TooManyAtoms
 from sharp_rosenthal.measures import DiscreteRV, LevyVarianceMeasure
@@ -141,10 +141,43 @@ class TestSeriesEngine:
         rng = np.random.default_rng(41)
         law = random_law(rng, gaussian=False)
         shifts = np.array([-1.2, 0.0, 0.7, 2.5])
-        batch = shifted_moments(law, 3.5, shifts)
+        batch = ShiftedMomentEvaluator(law, 3.5, 2.5)(shifts)
         for s, expected in zip(shifts, batch):
             single = cp_abs_moment(CompoundLaw(law.x0 + s, law.background, law.levy), 3.5)
             assert single == pytest.approx(expected, rel=1e-10)
+
+    def test_part_moments_decompose_and_reflect(self):
+        # pos + neg = abs on one grid, and the negative part is the positive
+        # part of the reflected law, with and without a Gaussian part
+        rng = np.random.default_rng(59)
+        gaussian = 0
+        for _ in range(30):
+            law = random_law(rng, max_atoms=3)
+            gaussian += law.levy.gaussian_variance() > 0.0
+            q = float(rng.uniform(2.1, 7.0))
+            total = cp_abs_moment_series(law, q)
+            pos = cp_part_moment_series(law, q, "positive")
+            neg = cp_part_moment_series(law, q, "negative")
+            assert pos + neg == pytest.approx(total, rel=1e-13, abs=1e-12)
+            reflected = cp_part_moment_series(law.reflected(), q, "positive")
+            assert neg == pytest.approx(reflected, rel=1e-13, abs=1e-12)
+        assert 0 < gaussian < 30
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_evaluator_part_kinds_match_series(self, gaussian):
+        rng = np.random.default_rng(61)
+        for _ in range(6):
+            law = random_law(rng, gaussian=False)
+            if gaussian:
+                levy = LevyVarianceMeasure(law.levy.atoms + ((0.0, 0.4),))
+                law = CompoundLaw(law.x0, law.background, levy)
+            q = float(rng.uniform(2.1, 7.0))
+            shifts = rng.uniform(-2.0, 2.0, size=5)
+            for kind, side in (("pos", "positive"), ("neg", "negative")):
+                batch = ShiftedMomentEvaluator(law, q, 2.0, kind=kind)(shifts)
+                for s, value in zip(shifts, batch):
+                    single = cp_part_moment_series(law.shifted(float(s)), q, side)
+                    assert value == pytest.approx(single, rel=1e-10, abs=1e-12)
 
 
 class TestContourEngine:

@@ -1,4 +1,5 @@
-"""Poisson / Skellam / Gaussian moment engines against independent oracles."""
+"""Poisson / Skellam / Gaussian moments against independent oracles; single
+Poisson moments come from the series engine on the one-atom law [(1.0, lam)]."""
 
 import math
 
@@ -8,39 +9,44 @@ import pytest
 from scipy import integrate, stats
 
 from conftest import brute_poisson_abs_central, brute_skellam_abs
+from sharp_rosenthal.compound import CompoundLaw, cp_abs_moment_series, cp_part_moment_series
 from sharp_rosenthal.errors import TailNotConverged
+from sharp_rosenthal.measures import LevyVarianceMeasure
 from sharp_rosenthal.poisson import (
     SeriesConfig,
     gaussian_abs_moment,
     gaussian_part_moment,
-    poisson_abs_central_moment,
     poisson_central_moment_even,
-    poisson_part_moment,
-    skellam_abs_moment,
     skellam_abs_moment_about,
 )
 
 
+def poisson_law(lam: float) -> CompoundLaw:
+    """Pi_lam - lam as the one-atom compound law [(1.0, lam)]."""
+    return CompoundLaw.pure(LevyVarianceMeasure([(1.0, lam)]))
+
+
 class TestPoissonAbsCentralMoment:
     def test_variance(self):
-        assert poisson_abs_central_moment(1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert cp_abs_moment_series(poisson_law(1.0), 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_fourth_moment_cumulant_oracle(self):
         # lam + 3 lam^2 from the cumulant recursion, and direct summation
-        assert poisson_abs_central_moment(1.0, 4.0) == pytest.approx(4.0, abs=1e-11)
-        assert poisson_abs_central_moment(1.0, 4.0) == pytest.approx(
+        assert cp_abs_moment_series(poisson_law(1.0), 4.0) == pytest.approx(4.0, abs=1e-11)
+        assert cp_abs_moment_series(poisson_law(1.0), 4.0) == pytest.approx(
             brute_poisson_abs_central(1.0, 4.0), rel=1e-12
         )
 
     def test_fractional_vs_brute_force(self):
         for lam, q in [(0.7, 5.5), (2.3, 3.1), (4.0, 2.5)]:
-            assert poisson_abs_central_moment(lam, q) == pytest.approx(
+            assert cp_abs_moment_series(poisson_law(lam), q) == pytest.approx(
                 brute_poisson_abs_central(lam, q), rel=1e-12
             )
 
     def test_large_lambda_guard(self):
         with pytest.raises(TailNotConverged):
-            poisson_abs_central_moment(1e5, 4.0, SeriesConfig(tol=1e-12, max_terms=10**4))
+            cfg = SeriesConfig(tol=1e-12, max_terms=10**4)
+            cp_abs_moment_series(poisson_law(1e5), 4.0, cfg)
 
     def test_monotone_in_lambda_even(self):
         for n in (2, 4, 6, 8):
@@ -50,7 +56,7 @@ class TestPoissonAbsCentralMoment:
     def test_lyapunov_log_convexity(self):
         qs = np.arange(2.0, 8.5, 0.5)
         for lam in (0.5, 1.0, 3.0):
-            logm = np.log([poisson_abs_central_moment(lam, q) for q in qs])
+            logm = np.log([cp_abs_moment_series(poisson_law(lam), q) for q in qs])
             mid = 0.5 * (logm[:-2] + logm[2:])
             assert np.all(logm[1:-1] <= mid + 1e-9)
 
@@ -58,12 +64,12 @@ class TestPoissonAbsCentralMoment:
 class TestPoissonPartMoment:
     def test_negative_side_hand_sum(self):
         # only k = 0 contributes (1-0)^4 e^{-1}; k = 1 gives 0
-        assert poisson_part_moment(1.0, 4.0, "negative") == pytest.approx(
+        assert cp_part_moment_series(poisson_law(1.0), 4.0, "negative") == pytest.approx(
             math.exp(-1.0), rel=1e-15
         )
 
     def test_positive_side_positivity(self):
-        assert poisson_part_moment(0.5, 5.0, "positive") > 0.0
+        assert cp_part_moment_series(poisson_law(0.5), 5.0, "positive") > 0.0
 
     def test_decomposition_identity(self):
         cfg = SeriesConfig(tol=1e-12, max_terms=10**6)
@@ -71,9 +77,10 @@ class TestPoissonPartMoment:
         for _ in range(50):
             lam = float(rng.uniform(0.1, 8.0))
             q = float(rng.uniform(2.1, 7.0))
-            total = poisson_abs_central_moment(lam, q, cfg)
-            parts = poisson_part_moment(lam, q, "positive", cfg) + poisson_part_moment(
-                lam, q, "negative", cfg
+            law = poisson_law(lam)
+            total = cp_abs_moment_series(law, q, cfg)
+            parts = cp_part_moment_series(law, q, "positive", cfg) + cp_part_moment_series(
+                law, q, "negative", cfg
             )
             assert parts == pytest.approx(total, abs=2 * cfg.tol + 1e-13 * total)
 
@@ -88,7 +95,7 @@ class TestPoissonCentralMomentEven:
         for lam in (0.5, 1.0, 2.0, 5.0):
             for n in (2, 4, 6, 8):
                 exact = poisson_central_moment_even(lam, n)
-                series = poisson_abs_central_moment(lam, float(n))
+                series = cp_abs_moment_series(poisson_law(lam), float(n))
                 assert series == pytest.approx(exact, rel=1e-9)
 
     def test_rejects_odd(self):
@@ -98,18 +105,18 @@ class TestPoissonCentralMomentEven:
 
 class TestSkellam:
     def test_variance_identities(self):
-        assert skellam_abs_moment(0.5, 0.5, 1.0, 2.0) == pytest.approx(1.0, abs=1e-10)
-        assert skellam_abs_moment(0.5, 0.5, 2.0, 2.0) == pytest.approx(4.0, abs=1e-10)
+        assert skellam_abs_moment_about(0.5, 0.5, 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-10)
+        assert skellam_abs_moment_about(0.5, 0.5, 2.0, 0.0, 2.0) == pytest.approx(4.0, abs=1e-10)
         rng = np.random.default_rng(3)
         for _ in range(10):
             lam = float(rng.uniform(0.2, 4.0))
             c = float(rng.uniform(0.2, 3.0))
-            assert skellam_abs_moment(lam, lam, c, 2.0) == pytest.approx(
+            assert skellam_abs_moment_about(lam, lam, c, 0.0, 2.0) == pytest.approx(
                 2.0 * lam * c * c, abs=1e-10 * max(1.0, 2 * lam * c * c)
             )
 
     def test_fifth_moment_brute_force(self):
-        assert skellam_abs_moment(1.0, 1.0, 1.0, 5.0) == pytest.approx(
+        assert skellam_abs_moment_about(1.0, 1.0, 1.0, 0.0, 5.0) == pytest.approx(
             brute_skellam_abs(1.0, 1.0, 1.0, 5.0), rel=1e-12
         )
 

@@ -24,9 +24,7 @@ from .errors import (
 from .measures import (
     DiscreteRV,
     LevyVarianceMeasure,
-    MomentConstraints,
     SignedAtomMeasure,
-    measure_in_class,
     rv_abs_moment,
     rv_center,
     rv_convolve,
@@ -53,7 +51,6 @@ from .compound import (
 from .variation import (
     PerturbationPath,
     first_variation,
-    h_kernel,
     moment_along_path,
     positivity_kernel,
     second_variation,

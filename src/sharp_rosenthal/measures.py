@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -238,46 +238,3 @@ class SignedAtomMeasure:
 
     def scaled(self, beta: float) -> "SignedAtomMeasure":
         return SignedAtomMeasure([(u, beta * d) for u, d in self.atoms])
-
-
-@dataclass(frozen=True)
-class MomentConstraints:
-    """The triple (p, A, B): sum E X_i^2 = B and sum E|X_i|^p = A with p > 2."""
-
-    p: float
-    A: float
-    B: float
-
-    def __post_init__(self):
-        if not self.p > 2.0:
-            raise ValueError(f"p must be > 2, got {self.p}")
-        if not (self.A > 0.0 and self.B > 0.0):
-            raise ValueError(f"A and B must be > 0, got A={self.A}, B={self.B}")
-
-
-def measure_in_class(
-    h: LevyVarianceMeasure,
-    c: MomentConstraints,
-    mode: Literal["exact", "dominated"] = "exact",
-    M: Optional[float] = None,
-) -> bool:
-    """Membership of H in the (p; A, B) measure class.
-
-    ``exact`` tests total weight = B and the |x|^{p-2} moment = A, both within
-    1e-9 relative; ``dominated`` tests <= with the same slack.  If ``M`` is
-    given, the support must also lie in [-M, M].
-    """
-    if mode not in ("exact", "dominated"):
-        raise ValueError(f"mode must be 'exact' or 'dominated', got {mode!r}")
-    rel = 1e-9
-    total = h.total_weight()
-    pmom = h.p_moment(c.p)
-    if mode == "exact":
-        ok = abs(total - c.B) <= rel * max(1.0, abs(c.B)) and abs(pmom - c.A) <= rel * max(
-            1.0, abs(c.A)
-        )
-    else:
-        ok = total <= c.B * (1.0 + rel) and pmom <= c.A * (1.0 + rel)
-    if ok and M is not None:
-        ok = h.max_abs_location() <= M * (1.0 + 1e-12)
-    return ok

@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 #: Finite-difference steps for the variational oracle; Richardson
-
 #: extrapolation combines the two.
 FD_STEPS_FIRST = (1e-3, 1e-4)
 FD_STEP_SECOND = 1e-2
@@ -130,10 +129,13 @@ def tightness_suite(
 def random_variation_case(seed: int, order: int = 1):
     """A seeded (path, q, X) triple with two-sided feasibility near t = 0.
 
-    Single- or two-atom base measures, perturbation directions touching the
-    base locations (plus occasionally a Gaussian injection at 0), and
-    exponents away from the q = 2 edge where the s-integrand loses
-    smoothness.
+    Single- or two-atom base measures with |u| in [0.5, 2], perturbation
+    directions touching the base locations (plus, in 3 draws of 10, a
+    Gaussian injection at 0), X = 0 or a zero-mean two-point law, and q
+    uniform on [2.6, 8) for first and [4.5, 8) for second variations.  The
+    variations are closed-form sums of shifted moments and need no margin
+    from q = 2 or q = 4; the ranges stay as they were so that a seed keeps
+    drawing the same case.
     """
     rng = np.random.default_rng(seed)
     q = float(rng.uniform(2.6, 8.0)) if order == 1 else float(rng.uniform(4.5, 8.0))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import BoundResult, LambdaC, exact_bound, solve_lambda_c
-from .compound import CompoundLaw, cp_abs_moment
+from .compound import MAX_NONZERO_ATOMS, CompoundLaw, cp_abs_moment
 from .errors import InfeasibleMass, NewtonDiverged, SupportTooLarge, TailNotConverged
 from .measures import (
     DiscreteRV,
@@ -143,7 +143,7 @@ def accompanying_measure(seq: RVSequence) -> LevyVarianceMeasure:
     """The variance-weighted tails measure H(du) = u^2 * sum_i P(X_i = u).
 
     Zero-mean members make the plain tails measure G mean-zero, so the
-    accompanying law with characteristic exponent int (e^{itх}-1) G(dx)
+    accompanying law with characteristic exponent int (e^{itx}-1) G(dx)
     coincides with Y_H for H(du) = u^2 G(du).
     """
     masses: dict[float, float] = {}
@@ -163,14 +163,14 @@ def check_domination(
 ) -> CaseReport:
     """E|S|^q against the accompanying-law moment E|Y_H|^q, q >= 3.
 
-    Skipped when the accompanying measure has more than three distinct
-    nonzero locations (the series engine's desk-scale cap).
+    Skipped when the accompanying measure has more distinct nonzero
+    locations than the series engine's desk-scale cap, MAX_NONZERO_ATOMS.
     """
     if not q >= 3.0:
         raise ValueError(f"domination check requires q >= 3, got {q}")
     lhs = sum_abs_moment(seq, q)
     levy = accompanying_measure(seq)
-    if len(levy.nonzero_atoms()) > 3:
+    if len(levy.nonzero_atoms()) > MAX_NONZERO_ATOMS:
         return CaseReport(case_id, seed, q, q, lhs, math.nan, math.nan, "skipped")
     rhs = cp_abs_moment(CompoundLaw.pure(levy), q, cfg)
     budget = cfg.tol + 4096.0 * np.finfo(float).eps * max(1.0, rhs)

@@ -1,4 +1,4 @@
-"""Core value types: discrete laws, atomic measures, membership tests."""
+"""Core value types: discrete laws, atomic measures, the (p; A, B) class."""
 
 import math
 
@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sharp_rosenthal.bounds import solve_lambda_c
 from sharp_rosenthal.measures import (
     DiscreteRV,
     LevyVarianceMeasure,
-    MomentConstraints,
     SignedAtomMeasure,
-    measure_in_class,
     rv_abs_moment,
     rv_center,
     rv_convolve,
@@ -163,25 +162,27 @@ class TestSignedAtomMeasure:
 
 class TestMomentConstraints:
     def test_validation(self):
-        MomentConstraints(2.5, 1.0, 1.0)
+        solve_lambda_c(2.5, 1.0, 1.0)
         with pytest.raises(ValueError):
-            MomentConstraints(2.0, 1.0, 1.0)
+            solve_lambda_c(2.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            MomentConstraints(3.0, 0.0, 1.0)
+            solve_lambda_c(3.0, 0.0, 1.0)
 
 
 class TestMeasureInClass:
     def test_examples(self):
-        c = MomentConstraints(5.0, 1.0, 1.0)
-        assert measure_in_class(LevyVarianceMeasure([(1.0, 1.0)]), c, "exact")
+        # (p; A, B) = (5; 1, 1): total weight B and |x|^{p-2} moment A
+        h = LevyVarianceMeasure([(1.0, 1.0)])
+        assert (h.total_weight(), h.p_moment(5.0)) == (1.0, 1.0)
         half = LevyVarianceMeasure([(1.0, 0.5)])
-        assert not measure_in_class(half, c, "exact")
-        assert measure_in_class(half, c, "dominated")
+        assert (half.total_weight(), half.p_moment(5.0)) == (0.5, 0.5)
         far = LevyVarianceMeasure([(2.0, 1.0)])
-        assert not measure_in_class(far, c, "exact", M=1.0)
+        assert (far.total_weight(), far.p_moment(5.0)) == (1.0, 8.0)
+        assert far.max_abs_location() > 1.0
 
     def test_support_bound(self):
-        c = MomentConstraints(5.0, 16.0, 2.0)
+        # (p; A, B) = (5; 16, 2) is met by 2 delta_2, whose support is [-2, 2]
         h = LevyVarianceMeasure([(2.0, 2.0)])
-        assert measure_in_class(h, c, "exact", M=2.0)
-        assert not measure_in_class(h, c, "exact", M=1.9)
+        assert (h.total_weight(), h.p_moment(5.0)) == (2.0, 16.0)
+        assert h.max_abs_location() == 2.0
+        assert LevyVarianceMeasure([(-2.0, 2.0), (0.0, 0.5)]).max_abs_location() == 2.0

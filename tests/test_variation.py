@@ -1,5 +1,7 @@
-"""Variational derivatives against finite differences and exact polynomials."""
+"""Variational derivatives against finite differences, exact polynomials and
+30-digit mpmath quadratures of their integral forms."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from sharp_rosenthal.suites import (
 from sharp_rosenthal.variation import (
     PerturbationPath,
     first_variation,
-    h_kernel,
     moment_along_path,
     positivity_kernel,
     second_variation,
@@ -24,6 +25,11 @@ from sharp_rosenthal.variation import (
 
 D0 = DiscreteRV.delta(0.0)
 H1 = LevyVarianceMeasure([(1.0, 1.0)])
+
+
+def h_kernel(x, q, X, H):
+    """h(x) = q(q-1) E|x + X + Y_H|^{q-2}, the first-variation integrand."""
+    return q * (q - 1.0) * cp_abs_moment(CompoundLaw(x, X, H), q - 2.0)
 
 
 class TestHKernel:
@@ -157,9 +163,151 @@ class TestVariationalF:
     def test_strictly_positive(self):
         assert variational_F(0.5, 1.0, 5.5, 5.5, D0, H1) > 0.0
 
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    @pytest.mark.parametrize("H", [H1, single_atom(-1.3, 0.7)], ids=["u1", "u-1.3"])
+    def test_b_zero_limit(self, H, s):
+        # at b = 0 the term (h(bs) - h(0))/b is its limit s h'(0); F is smooth
+        # in b with F(b) - F(0) = O(b), and 2F(b) - F(2b) = F(0) + O(b^2)
+        b = 1e-6
+        at_zero = variational_F(0.0, s, 6.2, 5.1, D0, H)
+        near = variational_F(b, s, 6.2, 5.1, D0, H)
+        assert at_zero == pytest.approx(near, rel=1e-5)
+        extrapolated = 2.0 * near - variational_F(2.0 * b, s, 6.2, 5.1, D0, H)
+        assert at_zero == pytest.approx(extrapolated, rel=1e-7)
+
 
 class TestMomentAlongPath:
     def test_matches_direct_engine(self):
         path = PerturbationPath(H1, SignedAtomMeasure([(1.0, 0.5)]), t_max=1.0)
         direct = cp_abs_moment(CompoundLaw.pure(LevyVarianceMeasure([(1.0, 1.25)])), 5.0)
         assert moment_along_path(path, 5.0, D0, 0.5) == pytest.approx(direct, rel=1e-12)
+
+
+def _mp_grid(X, H, eps=mp.mpf("1e-34")):
+    """(value, probability) pairs of X + Y_H for an H of nonzero atoms, in
+    mpmath, each Poisson pmf summed until its terms fall below ``eps``."""
+    pts = [(mp.mpf(x), mp.mpf(p)) for x, p in X.atoms]
+    for u, w in H.atoms:
+        u, lam = mp.mpf(u), mp.mpf(w) / mp.mpf(u) ** 2
+        out, k = [], 0
+        while True:
+            pk = mp.exp(-lam) * lam**k / mp.factorial(k)
+            if k > 2 * lam + 5 and pk < eps:
+                break
+            out += [(v + u * (k - lam), p * pk) for v, p in pts]
+            k += 1
+        pts = out
+    return pts
+
+
+def _mp_power(x, r, kind):
+    if kind == "abs":
+        return abs(x) ** r
+    if kind == "pos":
+        return x**r if x > 0 else mp.mpf(0)
+    return (-x) ** r if x < 0 else mp.mpf(0)
+
+
+def _mp_split(lo, hi, kinks):
+    return [lo] + sorted(k for k in kinks if lo < k < hi) + [hi]
+
+
+def _mp_first_variation(path, q, X, kind):
+    """sum_j d_j q(q-1) int_0^1 (1-s) E f_{q-2}(s u_j + X + Y_H) ds, one
+    quadrature per grid point v split at its kink s = -v/u_j."""
+    q = mp.mpf(q)
+    total = mp.mpf(0)
+    with mp.workdps(30):
+        pts = _mp_grid(X, path.base)
+        for u, d in path.direction.atoms:
+            u = mp.mpf(u)
+            for v, p in pts:
+                if u == 0:
+                    term = _mp_power(v, q - 2, kind) / 2
+                else:
+                    term = mp.quad(
+                        lambda s: (1 - s) * _mp_power(s * u + v, q - 2, kind),
+                        _mp_split(0, 1, [-v / u]),
+                    )
+                total += mp.mpf(d) * p * term
+        return float(q * (q - 1) * total)
+
+
+class TestMpmathReference:
+    """Variations against 30-digit mpmath quadratures of their integral
+    forms, each grid point's integral split at its kink.
+
+    The pinned constants come from the nested form of the same quadrature
+    (mp.mp.dps = 30, grids from :func:`_mp_grid`, f = |.|^{q-4}):
+
+        def second_variation_ref(path, q, X):
+            total = 0
+            for uj, dj in path.direction.atoms:
+                for uk, dk in path.direction.atoms:
+                    for v, p in _mp_grid(X, path.base):
+                        if uj == 0 and uk == 0:
+                            val = f(v) / 4
+                        elif uj == 0 or uk == 0:
+                            u = uj + uk
+                            val = quad(lambda s: (1 - s) * f(s*u + v),
+                                       split(0, 1, [-v/u])) / 2
+                        else:
+                            def inner(s1):
+                                c = v + s1*uj
+                                return (1 - s1) * quad(lambda s2: (1 - s2) * f(c + s2*uk),
+                                                       split(0, 1, [-c/uk]))
+                            val = quad(inner, split(0, 1, [-v/uj, -(v + uk)/uj]))
+                        total += dj * dk * p * val
+            return q(q-1)(q-2)(q-3) * total
+
+        def variational_F_ref(b, s, p, q, X, H):
+            w = (1 - b**(p-3))/(p-3)
+            total = 0
+            for v, pr in _mp_grid(X, H):
+                def inner(u):
+                    return quad(lambda a: a * f(u*s*a + v), split(0, 1, [-v/(u*s)]))
+                i1 = quad(inner, split(b, 1, [-v/s]))
+                i2 = quad(lambda a: a * f(a*s + v), split(0, 1, [-v/s]))
+                total += pr * (i1 - w * i2)
+            return s*s * q(q-1)(q-2)(q-3) * total
+
+    with quad = mp.quad, split = _mp_split and all inputs converted by
+    mp.mpf.
+    """
+
+    @pytest.mark.parametrize("kind", ["abs", "pos", "neg"])
+    def test_first_variation_low_q(self, kind):
+        # a small-intensity base keeps the reference grid short; at q = 2.3
+        # f'' = |.|^{0.3} has a cusp at every grid point's kink
+        path = PerturbationPath(
+            single_atom(1.5, 0.2), SignedAtomMeasure([(1.5, -0.1), (-0.8, 0.3)]), t_max=1.0
+        )
+        X = DiscreteRV.two_point_zero_mean(-0.7, 0.4)
+        expected = _mp_first_variation(path, 2.3, X, kind)
+        assert first_variation(path, 2.3, X, kind=kind) == pytest.approx(expected, rel=1e-12)
+
+    def test_second_variation_gaussian_injection(self):
+        # case der2-6 of variation_suite(10, 5150): one atom at u = -1.245,
+        # a Gaussian injection and q = 4.62, so f^(4) = |.|^{0.62}
+        path, q, X = random_variation_case(1000005156, order=2)
+        expected = 0.217394225578540222893539105450
+        assert second_variation(path, q, X) == pytest.approx(expected, rel=1e-12)
+
+    def test_variational_F(self):
+        H = single_atom(1.3, 1.1)
+        expected = 23.3374500277600287293317066592
+        assert variational_F(0.25, 1.0, 5.8, 5.1, D0, H) == pytest.approx(expected, rel=1e-12)
+
+
+class TestPartIdentity:
+    """pos + neg = abs: the odd derivative orders enter the three kinds with
+    different signs, so a sign slip in any of them breaks the identity."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_parts_sum_to_abs(self, order):
+        variation = first_variation if order == 1 else second_variation
+        rng = np.random.default_rng(41 + order)
+        for _ in range(8):
+            path, q, X = random_variation_case(int(rng.integers(0, 2**31)), order=order)
+            pos, neg, total = (variation(path, q, X, kind=k) for k in ("pos", "neg", "abs"))
+            assert pos + neg == pytest.approx(total, rel=1e-12, abs=1e-12), (q, path)

@@ -322,7 +322,7 @@ def q_point_from_c(p: float, A: float, B: float, c1: float, c2: float) -> Option
     return point if point.satisfies(p, A, B) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanCell:
     c1: float
     c2: float
@@ -388,7 +388,7 @@ def q_scan(
         X = DiscreteRV.delta(0.0)
     reference = exact_bound(p, q, A, B, X, cfg)
     lc = solve_lambda_c(p, A, B)
-    axis = scan_axis(lc.c, grid)
+    axis = scan_axis(lc.c, grid).tolist()  # the cells share these float objects
     allow = reference.value + 1e-8 * max(1.0, reference.value) + reference.error_budget
     cells: list[ScanCell] = []
     best_point: Optional[QPoint] = None
@@ -396,12 +396,12 @@ def q_scan(
     for c1 in axis:
         for c2 in axis:
             try:
-                point = q_point_from_c(p, A, B, float(c1), float(c2))
+                point = q_point_from_c(p, A, B, c1, c2)
             except SingularSystem:
-                cells.append(ScanCell(float(c1), float(c2), math.nan, math.nan, math.nan, "singular"))
+                cells.append(ScanCell(c1, c2, math.nan, math.nan, math.nan, "singular"))
                 continue
             if point is None:
-                cells.append(ScanCell(float(c1), float(c2), math.nan, math.nan, math.nan, "infeasible"))
+                cells.append(ScanCell(c1, c2, math.nan, math.nan, math.nan, "infeasible"))
                 continue
             w1, w2 = point.weights()
             levy = LevyVarianceMeasure([(point.c1, w1), (point.c2, w2)])

@@ -40,6 +40,7 @@ from .measures import DiscreteRV, LevyVarianceMeasure
 from .poisson import (
     DEFAULT_CONFIG,
     SeriesConfig,
+    certified_lower_cutoff,
     certified_upper_cutoff,
     gaussian_abs_moment,
     gaussian_norm_bound,
@@ -165,9 +166,12 @@ class _LawGrid(NamedTuple):
 def _law_grid(law: CompoundLaw, q: float, cfg: SeriesConfig, shift_bound: float = 0.0) -> _LawGrid:
     """Discretize x0 + X + (Poisson part of Y_H) on certified grids.
 
-    The envelope for atom i's tail uses the Minkowski bound
-    ||everything else||_q + shift_bound, so the grid stays certified for the
-    moment of any shifted law |x + ...|^q with |x| <= shift_bound.
+    Atom i keeps the window [L_i, K_i] of its Poisson counts.  Both discarded
+    sides are bounded under the Minkowski envelope
+    |u_i|^q pmf(k) (M_i/|u_i| + |k - lam_i|)^q, where
+    M_i = ||everything else||_q + shift_bound, each side by half of the
+    atom's share of ``cfg.tol``; so the grid stays certified for the moment
+    of any shifted law |x + ...|^q with |x| <= shift_bound.
     """
     nz = law.levy.nonzero_atoms()
     if len(nz) > MAX_NONZERO_ATOMS:
@@ -186,21 +190,16 @@ def _law_grid(law: CompoundLaw, q: float, cfg: SeriesConfig, shift_bound: float 
     tail = 0.0
     for i, ((u, _), lam) in enumerate(zip(nz, lams)):
         m_i = base + sum(norms[j] for j in range(len(nz)) if j != i)
-        cutoff = certified_upper_cutoff(
-            lam,
-            lam,
-            q,
-            tol_dim,
-            cfg.max_terms,
-            offset=m_i / abs(u),
-            log_scale=q * math.log(abs(u)),
-        )
-        if values.size * (cutoff + 1) > cfg.max_terms:
+        envelope = {"offset": m_i / abs(u), "log_scale": q * math.log(abs(u))}
+        lo = certified_lower_cutoff(lam, q, tol_dim / 2.0, **envelope)
+        hi = certified_upper_cutoff(lam, lam, q, tol_dim / 2.0, cfg.max_terms, **envelope)
+        width = hi - lo + 1
+        if values.size * width > cfg.max_terms:
             raise TailNotConverged(
                 f"composed grid would exceed max_terms={cfg.max_terms} "
-                f"({values.size} x {cutoff + 1})"
+                f"({values.size} x {width})"
             )
-        ks = np.arange(0, cutoff + 1, dtype=float)
+        ks = np.arange(lo, hi + 1, dtype=float)
         values = np.add.outer(values, u * (ks - lam)).ravel()
         probs = np.multiply.outer(probs, poisson_pmf(ks, lam)).ravel()
         tail += tol_dim
@@ -253,6 +252,9 @@ def _expect(grid: _LawGrid, q: float, kind: str, pts: np.ndarray) -> np.ndarray:
         weights = np.clip(pts, 0.0, None) ** q
     else:
         weights = np.clip(-pts, 0.0, None) ** q
+    if len(weights) == 1:
+        # a (1, n) matmul goes to multithreaded BLAS gemv, which can stall
+        return np.array([np.dot(weights[0], grid.probs)])
     return weights @ grid.probs
 
 

@@ -6,11 +6,13 @@ Moments of a single centered Poisson law, E|Pi_lam - lam|^q and its parts,
 are those of the one-atom compound law [(1.0, lam)] and come from the series
 engine in :mod:`sharp_rosenthal.compound`.
 
-All infinite series are truncated with *certified* tails: summation proceeds
-past k = max(2*lambda, k0) to the first index where the consecutive-term
-ratio drops below 1/2, after which the remainder is geometrically dominated
-by twice the next term.  Poisson probabilities are computed in log space so
-intensities up to 1e4 are handled without overflow.
+All infinite series are truncated to *certified* windows [L, K] around the
+mean.  Away from the center the consecutive-term ratio of the envelope
+decreases on both sides, so the discarded sum beyond an index is at most the
+first discarded term over one minus its ratio; an exponential search and a
+bisection find the narrowest window this certifies, which is O(sqrt(lambda))
+wide.  Poisson probabilities are computed in log space so intensities up to
+1e4 are handled without overflow.
 
 Gaussian moments have closed forms, vectorized over the mean: the absolute
 moment through Kummer's 1F1 and the part moments through the parabolic
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, hyp1f1, pbdv
@@ -71,14 +74,36 @@ def poisson_pmf(ks: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _log_term(k: float, lam: float, center: float, offset: float, q: float, log_scale: float) -> float:
-    """log of scale * pmf(k; lam) * (offset + k - center)^q, for k > center - offset."""
+    """log of scale * pmf(k; lam) * (offset + |k - center|)^q."""
     return (
         log_scale
         + k * math.log(lam)
         - lam
         - math.lgamma(k + 1.0)
-        + q * math.log(offset + k - center)
+        + q * math.log(offset + abs(k - center))
     )
+
+
+def _first_passing(passes, lo: int, hi: int) -> int | None:
+    """Smallest k in [lo, hi] with passes(k), for a test that stays true once
+    true; None when passes(hi) is false.
+
+    Exponential search from lo, then bisection: O(log(k - lo)) tests.
+    """
+    if lo > hi:
+        return None
+    failed, k, step = lo - 1, lo, 1
+    while not passes(k):
+        if k >= hi:
+            return None
+        failed, k, step = k, min(k + step, hi), 2 * step
+    while k - failed > 1:
+        mid = (failed + k) // 2
+        if passes(mid):
+            k = mid
+        else:
+            failed = mid
+    return k
 
 
 def certified_upper_cutoff(
@@ -90,47 +115,91 @@ def certified_upper_cutoff(
     offset: float = 0.0,
     log_scale: float = 0.0,
 ) -> int:
-    """Smallest usable truncation index K for a Poisson-weighted tail.
+    """Smallest K >= ceil(center) whose Poisson-weighted tail is certified.
 
-    Certifies that sum_{k > K} scale * pmf(k; lam) * (offset + k - center)^q
-    is at most ``tol``: once the consecutive-term ratio
-    lam/(k+1) * ((offset + k + 1 - center)/(offset + k - center))^q falls
-    below 1/2 (it is decreasing beyond the center), the remainder is bounded
-    by twice the next term.
+    Certifies that sum_{k > K} t(k) <= ``tol`` for the envelope
+    t(k) = scale * pmf(k; lam) * (offset + k - center)^q.  Beyond the center
+    the ratio r(k) = t(k+1)/t(k) = lam/(k+1) * (1 + 1/(offset + k - center))^q
+    decreases, so once r(k) < 1 the tail from k is at most t(k)/(1 - r(k)),
+    and that test, once passed, passes at every larger k.
     """
-    k = int(math.ceil(max(2.0 * lam, center + 1.0, 1.0)))
-    while True:
-        if k > max_terms:
-            raise TailNotConverged(
-                f"no certified cutoff below max_terms={max_terms} for lam={lam}, q={q}"
-            )
-        ratio = lam / (k + 1.0) * ((offset + k + 1.0 - center) / (offset + k - center)) ** q
-        if ratio <= 0.5:
-            log_next = _log_term(k + 1.0, lam, center, offset, q, log_scale)
-            if log_next <= math.log(tol / 2.0):
-                return k
-        k = max(k + 1, int(1.1 * k))
+    log_tol = math.log(tol)
+
+    def tail_certified(cut: int) -> bool:
+        k = cut + 1.0
+        log_ratio = math.log(lam / (k + 1.0)) + q * math.log1p(1.0 / (offset + k - center))
+        if log_ratio >= 0.0:
+            return False
+        log_first = _log_term(k, lam, center, offset, q, log_scale)
+        return log_first - math.log(-math.expm1(log_ratio)) <= log_tol
+
+    cutoff = _first_passing(tail_certified, math.ceil(center), max_terms)
+    if cutoff is None:
+        raise TailNotConverged(
+            f"no certified cutoff below max_terms={max_terms} for lam={lam}, q={q}"
+        )
+    return cutoff
+
+
+def certified_lower_cutoff(
+    lam: float, q: float, tol: float, offset: float = 0.0, log_scale: float = 0.0
+) -> int:
+    """Largest L <= ceil(lam) whose Poisson-weighted head is certified.
+
+    Certifies that sum_{k < L} t(k) <= ``tol`` for the envelope
+    t(k) = scale * pmf(k; lam) * (offset + lam - k)^q.  Below the mean the
+    ratio s(k) = t(k-1)/t(k) = (k/lam) * (1 + 1/(offset + lam - k))^q
+    decreases as k does, so the head below L is at most
+    t(L-1)/(1 - s(L-1)) once s(L-1) < 1.  Returns 0 at once when t(0) alone
+    exceeds ``tol``, which at small lam costs one term and no search.
+    """
+    log_tol = math.log(tol)
+    if _log_term(0.0, lam, lam, offset, q, log_scale) > log_tol:
+        return 0
+    top = math.ceil(lam) - 1  # the largest index below the mean
+
+    def head_certified(depth: int) -> bool:
+        k = top - depth
+        if k == 0:
+            return True
+        log_ratio = math.log(k / lam) + q * math.log1p(1.0 / (offset + lam - k))
+        if log_ratio >= 0.0:
+            return False
+        log_last = _log_term(k, lam, lam, offset, q, log_scale)
+        return log_last - math.log(-math.expm1(log_ratio)) <= log_tol
+
+    return top - _first_passing(head_certified, 0, top) + 1
 
 
 def poisson_central_moment_even(lam: float, n: int) -> float:
-    """Exact E (Pi_lam - lam)^n for even n >= 2, via the cumulant recursion.
-
-    The centered Poisson law has cumulants kappa_1 = 0 and kappa_j = lam for
-    j >= 2; moments follow from
-    m_j = sum_{i=0}^{j-1} C(j-1, i) kappa_{i+1} m_{j-1-i},  m_0 = 1.
-    """
+    """Exact E (Pi_lam - lam)^n for even n >= 2: a polynomial in lam with
+    nonnegative integer coefficients (:func:`_central_moment_coefficients`),
+    summed with fsum."""
     if not lam > 0.0:
         raise ValueError(f"lam must be > 0, got {lam}")
     if n != int(n) or int(n) < 2 or int(n) % 2 != 0:
         raise ValueError(f"n must be an even integer >= 2, got {n}")
-    n = int(n)
-    kappa = [0.0, 0.0] + [lam] * (n - 1)  # kappa[j] for j = 0..n, kappa[0] unused
-    m = [1.0] + [0.0] * n
+    coefficients = _central_moment_coefficients(int(n))
+    return math.fsum(c * lam**d for d, c in enumerate(coefficients))
+
+
+@lru_cache(maxsize=64)
+def _central_moment_coefficients(n: int) -> tuple[int, ...]:
+    """Coefficients of E (Pi_lam - lam)^n as a polynomial in lam, lowest first.
+
+    The centered Poisson law has cumulants kappa_1 = 0 and kappa_j = lam for
+    j >= 2, and moments follow from
+    m_j = sum_{i=0}^{j-1} C(j-1, i) kappa_{i+1} m_{j-1-i},  m_0 = 1,
+    so m_j = lam * sum_{i=1}^{j-1} C(j-1, i) m_{j-1-i}, exactly in integers.
+    """
+    m = [[1]]
     for j in range(1, n + 1):
-        m[j] = math.fsum(
-            math.comb(j - 1, i) * kappa[i + 1] * m[j - 1 - i] for i in range(j)
-        )
-    return m[n]
+        poly = [0] * (j // 2 + 1)
+        for i in range(1, j):
+            for d, c in enumerate(m[j - 1 - i]):
+                poly[d + 1] += math.comb(j - 1, i) * c
+        m.append(poly)
+    return tuple(m[n])
 
 
 def poisson_centered_norm_bound(lam: float, q: float) -> float:

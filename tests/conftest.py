@@ -43,6 +43,19 @@ def brute_triple_poisson_abs(
     return float((w * vals).sum())
 
 
+def brute_compound_abs(X: DiscreteRV, atoms, q: float) -> float:
+    """E|X + sum_i c_i (Pi_i - lam_i)|^q for independent Poisson Pi_i, by
+    direct summation over k_i <= lam_i + 12 sqrt(lam_i) + 60 of scipy pmf
+    grids; ``atoms`` is a sequence of (c_i, lam_i), and lam_i = 0 is a
+    point mass at 0."""
+    values, probs = X.values, X.probs
+    for c, lam in atoms:
+        ks = np.arange(0, int(lam + 12.0 * np.sqrt(lam)) + 61)
+        values = np.add.outer(values, c * (ks - lam)).ravel()
+        probs = np.multiply.outer(probs, stats.poisson.pmf(ks, lam)).ravel()
+    return float(probs @ np.abs(values) ** q)
+
+
 def rademacher() -> DiscreteRV:
     return DiscreteRV.rademacher()
 

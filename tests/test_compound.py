@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import single_atom
+from conftest import brute_compound_abs, single_atom
+from sharp_rosenthal.bounds import q_scan
 from sharp_rosenthal.compound import (
     CompoundLaw,
     ShiftedMomentEvaluator,
@@ -22,7 +23,12 @@ from sharp_rosenthal.compound import (
 )
 from sharp_rosenthal.errors import ExponentTooSmall, ImaginaryResidualTooLarge, TooManyAtoms
 from sharp_rosenthal.measures import DiscreteRV, LevyVarianceMeasure
-from sharp_rosenthal.poisson import DEFAULT_CONFIG, SeriesConfig, poisson_central_moment_even
+from sharp_rosenthal.poisson import (
+    DEFAULT_CONFIG,
+    SeriesConfig,
+    poisson_central_moment_even,
+    poisson_pmf,
+)
 
 
 def random_law(rng, max_atoms=2, gaussian=True) -> CompoundLaw:
@@ -313,3 +319,43 @@ class TestContourTruncation:
             poly = 2.0 * m_sigma * t ** (-q) / q
             gauss = 2.0 * m_sigma * sigma ** (-q - 1.0) * math.exp(-0.3 * t * t) / (0.6 * t)
             assert min(poly, gauss) <= tol * (1.0 + 1e-12)
+
+
+class TestScanAgainstBrute:
+    """q_scan composes two-atom laws over windows [L, K] of each Poisson
+    atom; its best values match direct summation over full pmf grids."""
+
+    @pytest.mark.parametrize(
+        "p, q, A, X",
+        [
+            (5.5, 5.2, 1.5, DiscreteRV.rademacher()),
+            (5.2, 5.0, 1.8, DiscreteRV([(-0.5, 0.3), (0.1, 0.5), (0.5, 0.2)])),
+        ],
+    )
+    def test_best_value_matches_brute(self, p, q, A, X):
+        result = q_scan(p, q, A, 1.0, X)
+        best = result.best_point
+        atoms = [(best.c1, best.lambda1), (best.c2, best.lambda2)]
+        assert result.best_value == pytest.approx(brute_compound_abs(X, atoms, q), rel=1e-12)
+        # the scan reaches atoms with lam ~ 1e4, where the window is far
+        # narrower than [0, K]; against the same pmf summed from k = 0 the
+        # window loses no more than its share of the tolerance
+        evaluated = [cell for cell in result.cells if cell.status == "evaluated"]
+        widest = max(evaluated, key=lambda cell: max(cell.lambda1, cell.lambda2))
+        assert max(widest.lambda1, widest.lambda2) > 1e3
+        atoms = [(widest.c1, widest.lambda1), (widest.c2, widest.lambda2)]
+        full = full_range_abs(X, atoms, q)
+        assert widest.value == pytest.approx(full, rel=1e-13, abs=DEFAULT_CONFIG.tol)
+
+
+def full_range_abs(X: DiscreteRV, atoms, q: float) -> float:
+    """E|X + sum_i c_i (Pi_i - lam_i)|^q with the package's pmf summed over
+    k_i = 0 .. 2 lam_i + 12 sqrt(lam_i) + 60, untruncated below the mean."""
+    values, probs = X.values, X.probs
+    for c, lam in atoms:
+        if lam == 0.0:
+            continue
+        ks = np.arange(0, int(2.0 * lam + 12.0 * math.sqrt(lam)) + 61, dtype=float)
+        values = np.add.outer(values, c * (ks - lam)).ravel()
+        probs = np.multiply.outer(probs, poisson_pmf(ks, lam)).ravel()
+    return math.fsum((probs * np.abs(values) ** q).tolist())

@@ -14,6 +14,8 @@ from sharp_rosenthal.errors import TailNotConverged
 from sharp_rosenthal.measures import LevyVarianceMeasure
 from sharp_rosenthal.poisson import (
     SeriesConfig,
+    certified_lower_cutoff,
+    certified_upper_cutoff,
     gaussian_abs_moment,
     gaussian_part_moment,
     poisson_central_moment_even,
@@ -127,6 +129,80 @@ class TestSkellam:
         x0, c, q = 0.4, 1.1, 3.5
         brute = float(pj @ (np.abs(x0 + c * np.subtract.outer(grid, grid)) ** q) @ pk)
         assert skellam_abs_moment_about(1.3, 0.8, c, x0, q) == pytest.approx(brute, rel=1e-12)
+
+
+def envelope_terms(lam: float, q: float, offset: float, scale: float, kmax: int) -> np.ndarray:
+    """scale^q pmf(k; lam) (offset + |k - lam|)^q for k = 0..kmax, from scipy's pmf."""
+    ks = np.arange(0, kmax + 1)
+    return scale**q * stats.poisson.pmf(ks, lam) * (offset + np.abs(ks - lam)) ** q
+
+
+WINDOW_CASES = [
+    (lam, q, offset)
+    for lam in (0.01, 0.7, 5.0, 40.0, 300.0, 1e4)  # 5 .. 1e4 are integers
+    for q in (0.5, 2.5, 5.0, 8.7)
+    for offset in (0.0, 0.5, 3.0, 40.0)
+]
+
+
+class TestCertifiedWindow:
+    """The window [L, K] of one Poisson atom: each discarded side of the
+    envelope is at most its budget, checked by brute summation."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8])
+    def test_head_and_tail_within_budget(self, tol):
+        budget = tol / 2.0
+        for lam, q, offset in WINDOW_CASES:
+            lo = certified_lower_cutoff(lam, q, budget, offset)
+            hi = certified_upper_cutoff(lam, lam, q, budget, 10**6, offset)
+            assert 0 <= lo <= math.ceil(lam) <= hi
+            t = envelope_terms(lam, q, offset, 1.0, int(hi + 40.0 * math.sqrt(lam) + 200))
+            assert math.fsum(t[:lo]) <= budget, (lam, q, offset)
+            assert math.fsum(t[hi + 1 :]) <= budget, (lam, q, offset)
+
+    def test_cutoffs_near_minimal(self):
+        # one index further in, the brute head (tail) spends at least 90% of
+        # the budget: the ratio certificate gives away less than one index
+        budget = 5e-13
+        raised = 0
+        for lam, q, offset in WINDOW_CASES:
+            lo = certified_lower_cutoff(lam, q, budget, offset)
+            hi = certified_upper_cutoff(lam, lam, q, budget, 10**6, offset)
+            t = envelope_terms(lam, q, offset, 1.0, int(hi + 40.0 * math.sqrt(lam) + 200))
+            if lo > 0:
+                raised += 1
+                assert math.fsum(t[: lo + 1]) > 0.9 * budget, (lam, q, offset)
+            if hi > math.ceil(lam):
+                assert math.fsum(t[hi:]) > 0.9 * budget, (lam, q, offset)
+        assert raised >= 32  # every lam >= 300 case truncates its head
+
+    @pytest.mark.parametrize("lam", [40.0, 300.0, 1e4])
+    def test_lower_cutoff_one_too_high_fails_head(self, lam):
+        budget = 5e-13
+        lo = certified_lower_cutoff(lam, 5.0, budget)
+        t = envelope_terms(lam, 5.0, 0.0, 1.0, int(lam + 40.0 * math.sqrt(lam) + 200))
+        assert math.fsum(t[:lo]) <= budget < math.fsum(t[: lo + 1])
+
+    def test_small_lambda_keeps_zero(self):
+        # t(0) alone exceeds the budget: nothing below the mean can be dropped
+        for lam in (0.01, 0.7, 5.0, 20.0):
+            assert certified_lower_cutoff(lam, 5.0, 2.5e-13, 1.0) == 0
+
+    @pytest.mark.parametrize("q", [0.5, 2.5, 5.0, 8.7])
+    def test_large_lambda_window_width(self, q):
+        # a scan atom at |u| = c/100 carries lam ~ 1e4; its window is
+        # O(sqrt(lam)) wide where [0, K] held over 2e4 points
+        lam, budget, scale = 1e4, 2.5e-13, 0.01
+        log_scale = q * math.log(scale)
+        lo = certified_lower_cutoff(lam, q, budget, 1.0, log_scale)
+        hi = certified_upper_cutoff(lam, lam, q, budget, 10**6, 1.0, log_scale)
+        assert hi - lo + 1 < 2000
+        t = envelope_terms(lam, q, 1.0, scale, int(hi + 4000))
+        assert math.fsum(t[:lo]) <= budget and math.fsum(t[hi + 1 :]) <= budget
+
+    def test_upper_cutoff_respects_max_terms(self):
+        with pytest.raises(TailNotConverged):
+            certified_upper_cutoff(1e4, 1e4, 5.0, 1e-12, 10_100)
 
 
 def mp_abs_moment(mean: float, sd: float, q: float) -> mpmath.mpf:

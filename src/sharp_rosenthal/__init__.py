@@ -1,9 +1,10 @@
 """Exact Rosenthal-type moment bounds for sums of independent zero-mean
 random variables, with the full supporting machinery: fractional moments
-of compound-Poisson laws (a single centered Poisson is the one-atom case)
-from one certified series engine, Skellam moments, a Fourier-Laplace contour
-engine, a calculus of variations over Lévy measures, extremal-family scans,
-and a brute-force verification harness."""
+of compound-Poisson laws (a single centered Poisson is the one-atom case,
+a scaled Skellam difference the symmetric two-atom case) from one certified
+series engine, a Fourier-Laplace contour engine, a calculus of variations
+over Lévy measures, extremal-family scans, and a brute-force verification
+harness."""
 
 from .errors import (
     BoundExceeded,

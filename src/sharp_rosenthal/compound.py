@@ -192,7 +192,7 @@ def _law_grid(law: CompoundLaw, q: float, cfg: SeriesConfig, shift_bound: float 
         m_i = base + sum(norms[j] for j in range(len(nz)) if j != i)
         envelope = {"offset": m_i / abs(u), "log_scale": q * math.log(abs(u))}
         lo = certified_lower_cutoff(lam, q, tol_dim / 2.0, **envelope)
-        hi = certified_upper_cutoff(lam, lam, q, tol_dim / 2.0, cfg.max_terms, **envelope)
+        hi = certified_upper_cutoff(lam, q, tol_dim / 2.0, cfg.max_terms, **envelope)
         width = hi - lo + 1
         if values.size * width > cfg.max_terms:
             raise TailNotConverged(

@@ -1,17 +1,18 @@
 """Building blocks of the moment engines: the Poisson pmf and its certified
 truncation, exact even central moments and L^q norm bounds of the centered
-Poisson law, the Skellam double series, and closed-form Gaussian moments.
+Poisson law, and closed-form Gaussian moments.
 
 Moments of a single centered Poisson law, E|Pi_lam - lam|^q and its parts,
-are those of the one-atom compound law [(1.0, lam)] and come from the series
-engine in :mod:`sharp_rosenthal.compound`.
+are those of the one-atom compound law [(1.0, lam)], and Skellam moments
+those of the two-atom law [(c, c^2 lam1), (-c, c^2 lam2)]; both come from
+the series engine in :mod:`sharp_rosenthal.compound`.
 
 All infinite series are truncated to *certified* windows [L, K] around the
 mean.  Away from the center the consecutive-term ratio of the envelope
 decreases on both sides, so the discarded sum beyond an index is at most the
-first discarded term over one minus its ratio; an exponential search and a
-bisection find the narrowest window this certifies, which is O(sqrt(lambda))
-wide.  Poisson probabilities are computed in log space so intensities up to
+first discarded term over one minus its ratio; an exponential search, whose
+first stride is isqrt(ceil(lambda)), and a bisection find the narrowest
+window this certifies, which is O(sqrt(lambda)) wide.  Poisson probabilities are computed in log space so intensities up to
 1e4 are handled without overflow.
 
 Gaussian moments have closed forms, vectorized over the mean: the absolute
@@ -29,6 +30,7 @@ import numpy as np
 from scipy.special import gammaln, hyp1f1, pbdv
 
 from .errors import TailNotConverged
+from .measures import LevyVarianceMeasure
 
 __all__ = [
     "SeriesConfig",
@@ -73,26 +75,27 @@ def poisson_pmf(ks: np.ndarray, lam: float) -> np.ndarray:
     return np.exp(_log_poisson_pmf(np.asarray(ks, dtype=float), lam))
 
 
-def _log_term(k: float, lam: float, center: float, offset: float, q: float, log_scale: float) -> float:
-    """log of scale * pmf(k; lam) * (offset + |k - center|)^q."""
+def _log_term(k: float, lam: float, offset: float, q: float, log_scale: float) -> float:
+    """log of scale * pmf(k; lam) * (offset + |k - lam|)^q."""
     return (
         log_scale
         + k * math.log(lam)
         - lam
         - math.lgamma(k + 1.0)
-        + q * math.log(offset + abs(k - center))
+        + q * math.log(offset + abs(k - lam))
     )
 
 
-def _first_passing(passes, lo: int, hi: int) -> int | None:
+def _first_passing(passes, lo: int, hi: int, step: int) -> int | None:
     """Smallest k in [lo, hi] with passes(k), for a test that stays true once
     true; None when passes(hi) is false.
 
-    Exponential search from lo, then bisection: O(log(k - lo)) tests.
+    Exponential search from lo with a first stride of ``step``, then
+    bisection: O(log((k - lo)/step) + log(step)) tests.
     """
     if lo > hi:
         return None
-    failed, k, step = lo - 1, lo, 1
+    failed, k = lo - 1, lo
     while not passes(k):
         if k >= hi:
             return None
@@ -106,20 +109,25 @@ def _first_passing(passes, lo: int, hi: int) -> int | None:
     return k
 
 
+def _search_step(lam: float) -> int:
+    """First stride of the cutoff searches, on the O(sqrt(lam)) scale of the
+    distance from the mean to either window edge."""
+    return max(1, math.isqrt(math.ceil(lam)))
+
+
 def certified_upper_cutoff(
     lam: float,
-    center: float,
     q: float,
     tol: float,
     max_terms: int,
     offset: float = 0.0,
     log_scale: float = 0.0,
 ) -> int:
-    """Smallest K >= ceil(center) whose Poisson-weighted tail is certified.
+    """Smallest K >= ceil(lam) whose Poisson-weighted tail is certified.
 
     Certifies that sum_{k > K} t(k) <= ``tol`` for the envelope
-    t(k) = scale * pmf(k; lam) * (offset + k - center)^q.  Beyond the center
-    the ratio r(k) = t(k+1)/t(k) = lam/(k+1) * (1 + 1/(offset + k - center))^q
+    t(k) = scale * pmf(k; lam) * (offset + k - lam)^q.  Above the mean the
+    ratio r(k) = t(k+1)/t(k) = lam/(k+1) * (1 + 1/(offset + k - lam))^q
     decreases, so once r(k) < 1 the tail from k is at most t(k)/(1 - r(k)),
     and that test, once passed, passes at every larger k.
     """
@@ -127,13 +135,13 @@ def certified_upper_cutoff(
 
     def tail_certified(cut: int) -> bool:
         k = cut + 1.0
-        log_ratio = math.log(lam / (k + 1.0)) + q * math.log1p(1.0 / (offset + k - center))
+        log_ratio = math.log(lam / (k + 1.0)) + q * math.log1p(1.0 / (offset + k - lam))
         if log_ratio >= 0.0:
             return False
-        log_first = _log_term(k, lam, center, offset, q, log_scale)
+        log_first = _log_term(k, lam, offset, q, log_scale)
         return log_first - math.log(-math.expm1(log_ratio)) <= log_tol
 
-    cutoff = _first_passing(tail_certified, math.ceil(center), max_terms)
+    cutoff = _first_passing(tail_certified, math.ceil(lam), max_terms, _search_step(lam))
     if cutoff is None:
         raise TailNotConverged(
             f"no certified cutoff below max_terms={max_terms} for lam={lam}, q={q}"
@@ -154,7 +162,7 @@ def certified_lower_cutoff(
     exceeds ``tol``, which at small lam costs one term and no search.
     """
     log_tol = math.log(tol)
-    if _log_term(0.0, lam, lam, offset, q, log_scale) > log_tol:
+    if _log_term(0.0, lam, offset, q, log_scale) > log_tol:
         return 0
     top = math.ceil(lam) - 1  # the largest index below the mean
 
@@ -165,10 +173,10 @@ def certified_lower_cutoff(
         log_ratio = math.log(k / lam) + q * math.log1p(1.0 / (offset + lam - k))
         if log_ratio >= 0.0:
             return False
-        log_last = _log_term(k, lam, lam, offset, q, log_scale)
+        log_last = _log_term(k, lam, offset, q, log_scale)
         return log_last - math.log(-math.expm1(log_ratio)) <= log_tol
 
-    return top - _first_passing(head_certified, 0, top) + 1
+    return top - _first_passing(head_certified, 0, top, _search_step(lam)) + 1
 
 
 def poisson_central_moment_even(lam: float, n: int) -> float:
@@ -229,38 +237,16 @@ def skellam_abs_moment_about(
 ) -> float:
     """E|x0 + c (Pi_lam1 - Pi'_lam2)|^q for independent Poisson variables.
 
-    Double series over the product grid, with each dimension truncated under
-    a certified Minkowski envelope: the co-ordinate tail at index k is
-    weighted by (M + |c|(k - lam))^q where M bounds the L^q norm of all the
-    remaining terms.
+    The moment of the compound law of [(c, c^2 lam1), (-c, c^2 lam2)], which
+    is centered, shifted by the drift c (lam1 - lam2), from the series engine.
     """
+    from .compound import CompoundLaw, cp_abs_moment_series  # compound imports this module
+
     if not (lam1 > 0.0 and lam2 > 0.0):
         raise ValueError(f"lam1 and lam2 must be > 0, got {lam1}, {lam2}")
-    if not q > 0.0:
-        raise ValueError(f"q must be > 0, got {q}")
-    if c == 0.0:
-        return abs(x0) ** q
-    ac = abs(c)
-    drift = x0 + c * (lam1 - lam2)
-    m1 = abs(drift) + ac * poisson_centered_norm_bound(lam2, q)
-    m2 = abs(drift) + ac * poisson_centered_norm_bound(lam1, q)
-    tol_dim = cfg.tol / 2.0
-    k1 = certified_upper_cutoff(
-        lam1, lam1, q, tol_dim, cfg.max_terms, offset=m1 / ac, log_scale=q * math.log(ac)
-    )
-    k2 = certified_upper_cutoff(
-        lam2, lam2, q, tol_dim, cfg.max_terms, offset=m2 / ac, log_scale=q * math.log(ac)
-    )
-    if (k1 + 1) * (k2 + 1) > cfg.max_terms:
-        raise TailNotConverged(
-            f"double-series grid {(k1 + 1)}x{(k2 + 1)} exceeds max_terms={cfg.max_terms}"
-        )
-    js = np.arange(0, k1 + 1, dtype=float)
-    ks = np.arange(0, k2 + 1, dtype=float)
-    p1 = poisson_pmf(js, lam1)
-    p2 = poisson_pmf(ks, lam2)
-    vals = np.abs(x0 + c * np.subtract.outer(js, ks)) ** q
-    return float(p1 @ vals @ p2)
+    levy = LevyVarianceMeasure([(c, c * c * lam1), (-c, c * c * lam2)])
+    law = CompoundLaw.pure(levy).shifted(x0 + c * (lam1 - lam2))
+    return cp_abs_moment_series(law, q, cfg)
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_poisson_abs_central, brute_skellam_abs, brute_triple_poisson_abs
+from conftest import (
+    brute_compound_abs,
+    brute_poisson_abs_central,
+    brute_skellam_abs,
+    brute_triple_poisson_abs,
+)
 from sharp_rosenthal.bounds import (
     best_constant,
     classical_rosenthal_constant,
@@ -173,6 +178,14 @@ class TestSymmetricBound:
             sym = symmetric_bound(p, q, A, B).value
             gen = exact_bound(p, q, A, B).value
             assert sym <= gen * (1.0 + 1e-11)
+
+    def test_background_brute_force(self):
+        # X folds into the same grid as the two Skellam atoms
+        X = DiscreteRV([(-1.0, 0.3), (0.2, 0.5), (1.0, 0.2)])
+        p, q, A, B = 5.5, 5.2, 1.3, 0.9
+        lc = solve_lambda_c(p, A, B)
+        brute = brute_compound_abs(X, [(lc.c, lc.lam / 2.0), (-lc.c, lc.lam / 2.0)], q)
+        assert symmetric_bound(p, q, A, B, X).value == pytest.approx(brute, rel=1e-11)
 
     def test_second_moment_sanity_via_engine(self):
         # the same Skellam machinery at q = 2 returns the variance c^2 lam = B

@@ -126,9 +126,11 @@ class TestSkellam:
         grid = np.arange(0, 60)
         pj = stats.poisson.pmf(grid, 1.3)
         pk = stats.poisson.pmf(grid, 0.8)
-        x0, c, q = 0.4, 1.1, 3.5
-        brute = float(pj @ (np.abs(x0 + c * np.subtract.outer(grid, grid)) ** q) @ pk)
-        assert skellam_abs_moment_about(1.3, 0.8, c, x0, q) == pytest.approx(brute, rel=1e-12)
+        x0, q = 0.4, 3.5
+        # c < 0 flips the sign of the drift c (lam1 - lam2) against x0
+        for c in (1.1, -1.1):
+            brute = float(pj @ (np.abs(x0 + c * np.subtract.outer(grid, grid)) ** q) @ pk)
+            assert skellam_abs_moment_about(1.3, 0.8, c, x0, q) == pytest.approx(brute, rel=1e-12)
 
 
 def envelope_terms(lam: float, q: float, offset: float, scale: float, kmax: int) -> np.ndarray:
@@ -154,7 +156,7 @@ class TestCertifiedWindow:
         budget = tol / 2.0
         for lam, q, offset in WINDOW_CASES:
             lo = certified_lower_cutoff(lam, q, budget, offset)
-            hi = certified_upper_cutoff(lam, lam, q, budget, 10**6, offset)
+            hi = certified_upper_cutoff(lam, q, budget, 10**6, offset)
             assert 0 <= lo <= math.ceil(lam) <= hi
             t = envelope_terms(lam, q, offset, 1.0, int(hi + 40.0 * math.sqrt(lam) + 200))
             assert math.fsum(t[:lo]) <= budget, (lam, q, offset)
@@ -167,7 +169,7 @@ class TestCertifiedWindow:
         raised = 0
         for lam, q, offset in WINDOW_CASES:
             lo = certified_lower_cutoff(lam, q, budget, offset)
-            hi = certified_upper_cutoff(lam, lam, q, budget, 10**6, offset)
+            hi = certified_upper_cutoff(lam, q, budget, 10**6, offset)
             t = envelope_terms(lam, q, offset, 1.0, int(hi + 40.0 * math.sqrt(lam) + 200))
             if lo > 0:
                 raised += 1
@@ -195,14 +197,14 @@ class TestCertifiedWindow:
         lam, budget, scale = 1e4, 2.5e-13, 0.01
         log_scale = q * math.log(scale)
         lo = certified_lower_cutoff(lam, q, budget, 1.0, log_scale)
-        hi = certified_upper_cutoff(lam, lam, q, budget, 10**6, 1.0, log_scale)
+        hi = certified_upper_cutoff(lam, q, budget, 10**6, 1.0, log_scale)
         assert hi - lo + 1 < 2000
         t = envelope_terms(lam, q, 1.0, scale, int(hi + 4000))
         assert math.fsum(t[:lo]) <= budget and math.fsum(t[hi + 1 :]) <= budget
 
     def test_upper_cutoff_respects_max_terms(self):
         with pytest.raises(TailNotConverged):
-            certified_upper_cutoff(1e4, 1e4, 5.0, 1e-12, 10_100)
+            certified_upper_cutoff(1e4, 5.0, 1e-12, 10_100)
 
 
 def mp_abs_moment(mean: float, sd: float, q: float) -> mpmath.mpf:

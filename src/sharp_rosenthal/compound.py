@@ -161,17 +161,31 @@ class _LawGrid(NamedTuple):
     probs: np.ndarray
     sd: float  # Gaussian component standard deviation
     tail_bound: float  # certified bound on truncated + pruned mass contribution
+    windows: tuple[tuple[int, int], ...]  # Poisson count window [L_i, K_i] per atom
 
 
-def _law_grid(law: CompoundLaw, q: float, cfg: SeriesConfig, shift_bound: float = 0.0) -> _LawGrid:
+def _law_grid(
+    law: CompoundLaw,
+    q: float,
+    cfg: SeriesConfig,
+    shift_bound: float = 0.0,
+    q_min: float | None = None,
+) -> _LawGrid:
     """Discretize x0 + X + (Poisson part of Y_H) on certified grids.
 
     Atom i keeps the window [L_i, K_i] of its Poisson counts.  Both discarded
     sides are bounded under the Minkowski envelope
-    |u_i|^q pmf(k) (M_i/|u_i| + |k - lam_i|)^q, where
+    |u_i|^r pmf(k) (M_i/|u_i| + |k - lam_i|)^r, where
     M_i = ||everything else||_q + shift_bound, each side by half of the
     atom's share of ``cfg.tol``; so the grid stays certified for the moment
-    of any shifted law |x + ...|^q with |x| <= shift_bound.
+    of any shifted law |x + ...|^r with |x| <= shift_bound.
+
+    The grid is certified at every exponent r in [q_min, q] (q_min defaults
+    to q).  Norms do not decrease in r, so M_i at q serves every r, and each
+    window is the wider of the windows certified at q_min and at q.  For a
+    fixed window the certified bound t(K+1)/(1 - rho(K+1)) on a side is
+    log-convex in r: log t and log rho are linear in r, and -log(1 - e^x)
+    is convex and increasing.  So its two end values bound it in between.
     """
     nz = law.levy.nonzero_atoms()
     if len(nz) > MAX_NONZERO_ATOMS:
@@ -179,20 +193,31 @@ def _law_grid(law: CompoundLaw, q: float, cfg: SeriesConfig, shift_bound: float 
             f"series engine supports at most {MAX_NONZERO_ATOMS} nonzero-location atoms, "
             f"got {len(nz)}"
         )
+    ends = (q,) if q_min in (None, q) else (q_min, q)
     sd = math.sqrt(law.levy.gaussian_variance())
     xs = law.x0 + law.background.values
-    base = shift_bound + float(np.max(np.abs(xs))) + (sd * gaussian_norm_bound(q) if sd else 0.0)
+    # a Python max: np.max costs several times more on the usual one or two values
+    base = shift_bound + max(map(abs, xs.tolist())) + (sd * gaussian_norm_bound(q) if sd else 0.0)
     lams = [w / (u * u) for u, w in nz]
     norms = [abs(u) * poisson_centered_norm_bound(lam, q) for (u, _), lam in zip(nz, lams)]
     tol_dim = cfg.tol / (2.0 * max(1, len(nz)))
     values = np.asarray(xs, dtype=float)
     probs = law.background.probs
     tail = 0.0
+    windows = []
     for i, ((u, _), lam) in enumerate(zip(nz, lams)):
         m_i = base + sum(norms[j] for j in range(len(nz)) if j != i)
-        envelope = {"offset": m_i / abs(u), "log_scale": q * math.log(abs(u))}
-        lo = certified_lower_cutoff(lam, q, tol_dim / 2.0, **envelope)
-        hi = certified_upper_cutoff(lam, q, tol_dim / 2.0, cfg.max_terms, **envelope)
+        offset = m_i / abs(u)
+        lo = min(
+            certified_lower_cutoff(lam, r, tol_dim / 2.0, offset, r * math.log(abs(u)))
+            for r in ends
+        )
+        hi = max(
+            certified_upper_cutoff(
+                lam, r, tol_dim / 2.0, cfg.max_terms, offset, r * math.log(abs(u))
+            )
+            for r in ends
+        )
         width = hi - lo + 1
         if values.size * width > cfg.max_terms:
             raise TailNotConverged(
@@ -203,33 +228,54 @@ def _law_grid(law: CompoundLaw, q: float, cfg: SeriesConfig, shift_bound: float 
         values = np.add.outer(values, u * (ks - lam)).ravel()
         probs = np.multiply.outer(probs, poisson_pmf(ks, lam)).ravel()
         tail += tol_dim
-    return _LawGrid(values, probs, sd, tail)
+        windows.append((lo, hi))
+    return _LawGrid(values, probs, sd, tail, tuple(windows))
 
 
-def _prune_grid(grid: _LawGrid, q: float, budget: float) -> _LawGrid:
-    """Drop grid points whose total possible contribution is below ``budget``."""
-    bounds = grid.probs * (np.abs(grid.values) + grid.sd * gaussian_norm_bound(q)) ** q
+def _prune_grid(
+    grid: _LawGrid, q: float, budget: float, shift_bound: float = 0.0, q_min: float | None = None
+) -> _LawGrid:
+    """Drop grid points whose total possible contribution is below ``budget``
+    at every shift |x| <= shift_bound and every exponent r in [q_min, q].
+
+    Point j contributes at most p_j (|x + v_j| + sd ||Z||_r)^r <= p_j a_j^r
+    with a_j = |v_j| + shift_bound + sd * gaussian_norm_bound(q), and
+    p_j a_j^r is log-linear in r, so the larger of its values at q_min and q
+    bounds it.
+    """
+    reach = np.abs(grid.values) + (shift_bound + grid.sd * gaussian_norm_bound(q))
+    bounds = grid.probs * reach**q
+    if q_min not in (None, q):
+        bounds = np.maximum(bounds, grid.probs * reach**q_min)
     order = np.argsort(bounds)
     cum = np.cumsum(bounds[order])
     n_drop = int(np.searchsorted(cum, budget, side="right"))
     if n_drop == 0:
         return grid
     keep = np.sort(order[n_drop:])
-    return _LawGrid(
-        grid.values[keep], grid.probs[keep], grid.sd, grid.tail_bound + float(cum[n_drop - 1])
+    return grid._replace(
+        values=grid.values[keep],
+        probs=grid.probs[keep],
+        tail_bound=grid.tail_bound + float(cum[n_drop - 1]),
     )
 
 
 def _moment_grid(
-    law: CompoundLaw, q: float, cfg: SeriesConfig, shift_bound: float = 0.0
+    law: CompoundLaw,
+    q: float,
+    cfg: SeriesConfig,
+    shift_bound: float = 0.0,
+    q_min: float | None = None,
 ) -> _LawGrid:
-    """The certified grid every moment of ``law`` is summed over; with a
-    Gaussian part, points too light to matter are pruned."""
-    if not q > 0.0:
-        raise ValueError(f"q must be > 0, got {q}")
-    grid = _law_grid(law, q, cfg, shift_bound)
+    """The certified grid every moment of ``law`` is summed over, at every
+    exponent in [q_min, q] and shift |x| <= shift_bound; with a Gaussian
+    part, points too light to matter are pruned."""
+    lowest = q if q_min is None else q_min
+    if not lowest > 0.0:
+        raise ValueError(f"q must be > 0, got {lowest}")
+    grid = _law_grid(law, q, cfg, shift_bound, q_min)
     if grid.sd > 0.0:
-        grid = _prune_grid(grid, q, cfg.tol / 4.0)
+        grid = _prune_grid(grid, q, cfg.tol / 4.0, shift_bound, q_min)
     return grid
 
 
@@ -275,12 +321,22 @@ def cp_part_moment_series(
     return float(_expect(grid, q, kinds[side], grid.values[None, :])[0])
 
 
+def _shifted_expect(grid: _LawGrid, q: float, kind: str, shifts: np.ndarray) -> np.ndarray:
+    """sum_j p_j E f(shift + values_j + sd Z) for each shift of a 1-D array,
+    by ``_expect`` over blocks of at most 2^23 shift x grid points."""
+    out = np.empty(shifts.size)
+    block = max(1, (1 << 23) // max(1, grid.values.size))
+    for start in range(0, shifts.size, block):
+        rows = slice(start, start + block)
+        out[rows] = _expect(grid, q, kind, shifts[rows, None] + grid.values[None, :])
+    return out
+
+
 class ShiftedMomentEvaluator:
     """E f(shift + x0 + X + Y_H) for many shifts sharing one certified grid.
 
     ``kind`` selects f among |.|^q ("abs"), (.)_+^q ("pos"), (.)_-^q ("neg").
-    The grid is certified uniformly over |shift| <= shift_bound, which keeps
-    the variational quadratures both fast and honest.
+    The grid is certified uniformly over |shift| <= shift_bound.
     """
 
     def __init__(
@@ -302,17 +358,13 @@ class ShiftedMomentEvaluator:
         shifts = np.asarray(shifts, dtype=float)
         if shifts.size == 0:
             return np.zeros(0)
-        if np.max(np.abs(shifts)) > self.shift_bound * (1.0 + 1e-12):
-            raise ValueError(
-                f"shift {np.max(np.abs(shifts))} exceeds certified bound {self.shift_bound}"
-            )
-        grid = self._grid
-        out = np.empty(shifts.size)
-        block = max(1, (1 << 23) // max(1, grid.values.size))
-        for start in range(0, shifts.size, block):
-            rows = slice(start, start + block)
-            out[rows] = _expect(grid, self.q, self.kind, shifts[rows, None] + grid.values[None, :])
-        return out
+        # a Python max: np.max costs several times more on the usual few shifts
+        flat = shifts.ravel().tolist()
+        peak = max(map(abs, flat))
+        # np.max is NaN, and so never out of bound, once any shift is NaN
+        if peak > self.shift_bound * (1.0 + 1e-12) and not any(map(math.isnan, flat)):
+            raise ValueError(f"shift {peak} exceeds certified bound {self.shift_bound}")
+        return _shifted_expect(self._grid, self.q, self.kind, shifts)
 
 
 def _log_mgf(law: CompoundLaw, sigma: float) -> tuple[float, float]:

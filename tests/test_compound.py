@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import brute_compound_abs, single_atom
 from sharp_rosenthal.bounds import q_scan
@@ -12,6 +13,8 @@ from sharp_rosenthal.compound import (
     CompoundLaw,
     ShiftedMomentEvaluator,
     _contour_truncation,
+    _law_grid,
+    _moment_grid,
     cp_abs_moment,
     cp_abs_moment_crosscheck,
     cp_abs_moment_series,
@@ -26,6 +29,7 @@ from sharp_rosenthal.measures import DiscreteRV, LevyVarianceMeasure
 from sharp_rosenthal.poisson import (
     DEFAULT_CONFIG,
     SeriesConfig,
+    gaussian_abs_moment,
     poisson_central_moment_even,
     poisson_pmf,
 )
@@ -184,6 +188,109 @@ class TestSeriesEngine:
                 for s, value in zip(shifts, batch):
                     single = cp_part_moment_series(law.shifted(float(s)), q, side)
                     assert value == pytest.approx(single, rel=1e-10, abs=1e-12)
+
+
+def _multi_exponent_draw(rng, kappa, gaussian):
+    """(law, q, shift bound) scaled by ``kappa``: 1-2 atoms at
+    |u| in kappa [0.5, 2] with intensity w/u^2 = lam in [0.125, 8], X = 0 or a
+    two-point law on kappa [-1.5, 1.5], optionally a Gaussian part of
+    variance kappa^2 [0.02, 0.2], and a shift bound in kappa [0, 2]."""
+    atoms = []
+    for sign in rng.permutation([-1.0, 1.0])[: int(rng.integers(1, 3))]:
+        u = float(sign * rng.uniform(0.5, 2.0))
+        atoms.append((kappa * u, kappa * kappa * float(rng.uniform(0.5, 2.0))))
+    if gaussian:
+        atoms.append((0.0, kappa * kappa * float(rng.uniform(0.02, 0.2))))
+    if rng.random() < 0.5:
+        X = DiscreteRV.delta(0.0)
+    else:
+        a, b = rng.uniform(0.3, 1.5, 2)
+        X = DiscreteRV.two_point_zero_mean(-kappa * float(a), kappa * float(b))
+    shift_bound = kappa * float(rng.uniform(0.0, 2.0))
+    return CompoundLaw(0.0, X, LevyVarianceMeasure(atoms)), float(rng.uniform(6.0, 8.0)), shift_bound
+
+
+def _rest_grid(law, skip):
+    """(values, probs) of x0 + X + every Poisson atom but ``skip``, on full
+    scipy pmf ranges k <= lam + 12 sqrt(lam) + 60."""
+    values, probs = law.x0 + law.background.values, law.background.probs
+    for j, (u, w) in enumerate(law.levy.nonzero_atoms()):
+        if j != skip:
+            lam = w / (u * u)
+            ks = np.arange(0, int(lam + 12.0 * math.sqrt(lam)) + 61)
+            values = np.add.outer(values, u * (ks - lam)).ravel()
+            probs = np.multiply.outer(probs, stats.poisson.pmf(ks, lam)).ravel()
+    return values, probs
+
+
+def _brute_abs(shifts, values, probs, sd, r):
+    """E|s + V + sd Z|^r for each s, V on (values, probs)."""
+    pts = shifts[:, None] + values[None, :]
+    moments = gaussian_abs_moment(pts, sd, r) if sd else np.abs(pts) ** r
+    return moments @ probs
+
+
+class TestMultiExponentGrid:
+    """One grid certified at every exponent in [q - 4, q] and every shift
+    |x| <= shift_bound, as variation._derivative_sum sums orders 0..4 on it."""
+
+    @pytest.mark.parametrize(
+        "kappa, gaussian, seed",
+        [(1.0, False, 71), (1.0, True, 72), (2e-3, False, 73), (2e-3, True, 74)],
+        ids=["unit", "unit-gaussian", "small", "small-gaussian"],
+    )
+    def test_discarded_head_and_tail_within_share(self, kappa, gaussian, seed):
+        # at unit scale the highest exponent sets every window; scaled by
+        # 2e-3 each envelope term is below 1, so the lowest one does
+        rng = np.random.default_rng(seed)
+        cfg = SeriesConfig(tol=1e-12)
+        for _ in range(8):
+            law, q, shift_bound = _multi_exponent_draw(rng, kappa, gaussian)
+            grid = _law_grid(law, q, cfg, shift_bound, q_min=q - 4.0)
+            nz = law.levy.nonzero_atoms()
+            share = cfg.tol / (4.0 * len(nz))
+            shifts = np.array([-shift_bound, shift_bound])
+            sd = math.sqrt(law.levy.gaussian_variance())
+            for i, ((u, w), (lo, hi)) in enumerate(zip(nz, grid.windows)):
+                lam = w / (u * u)
+                values, probs = _rest_grid(law, i)
+                head = np.arange(0, lo)
+                tail = np.arange(hi + 1, hi + int(12.0 * math.sqrt(lam)) + 200)
+                for r in q - np.arange(5.0):
+                    for ks in (head, tail):
+                        if ks.size == 0:
+                            continue
+                        pmf = stats.poisson.pmf(ks, lam)
+                        lost = max(
+                            pmf @ _brute_abs(x + u * (ks - lam), values, probs, sd, r)
+                            for x in shifts
+                        )
+                        assert lost <= share, (law, q, shift_bound, i, r, lost / share)
+
+    @pytest.mark.parametrize("kappa", [1.0, 2e-3], ids=["unit", "small"])
+    def test_pruned_mass_within_budget(self, kappa):
+        # a Gaussian grid drops light points; at every exponent and at both
+        # ends of the shift range the dropped contribution stays under tol/4.
+        # The kept points' terms cancel exactly in one fsum with the full
+        # grid's, which leaves the dropped ones without rounding of the total.
+        rng = np.random.default_rng(75)
+        # moments of the small draws are some kappa^r smaller, so is the tolerance
+        cfg = SeriesConfig(tol=1e-13 * kappa**4)
+        pruned_any = False
+        for _ in range(12):
+            law, q, shift_bound = _multi_exponent_draw(rng, kappa, True)
+            full = _law_grid(law, q, cfg, shift_bound, q_min=q - 4.0)
+            kept = _moment_grid(law, q, cfg, shift_bound, q_min=q - 4.0)
+            pruned_any |= kept.values.size < full.values.size
+            for r in q - np.arange(5.0):
+                for x in (-shift_bound, shift_bound):
+                    terms = [
+                        full.probs * gaussian_abs_moment(x + full.values, full.sd, r),
+                        -kept.probs * gaussian_abs_moment(x + kept.values, kept.sd, r),
+                    ]
+                    lost = math.fsum(np.concatenate(terms).tolist())
+                    assert lost <= cfg.tol / 4.0, (law, q, shift_bound, r, x, lost)
+        assert pruned_any
 
 
 class TestContourEngine:

@@ -23,7 +23,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .compound import CompoundLaw, cp_abs_moment
-from .errors import BoundExceeded, SingularSystem, TailNotConverged, UnsupportedExponents
+from .errors import (
+    BoundExceeded,
+    NotZeroMean,
+    SingularSystem,
+    TailNotConverged,
+    UnsupportedExponents,
+)
 from .measures import DiscreteRV, LevyVarianceMeasure, rv_mean
 from .poisson import DEFAULT_CONFIG, SeriesConfig, poisson_central_moment_even
 
@@ -96,8 +102,6 @@ def _budget(value: float, cfg: SeriesConfig, n_series: int = 1) -> float:
 
 
 def require_zero_mean(X: DiscreteRV, what: str = "X") -> None:
-    from .errors import NotZeroMean
-
     mu = rv_mean(X)
     if abs(mu) > ZERO_MEAN_TOL:
         raise NotZeroMean(f"{what} must have mean 0 within {ZERO_MEAN_TOL}, got {mu}")
@@ -113,11 +117,15 @@ def solve_lambda_c(p: float, A: float, B: float) -> LambdaC:
         raise ValueError(f"p must be > 2, got {p}")
     if not (A > 0.0 and B > 0.0):
         raise ValueError(f"A and B must be > 0, got A={A}, B={B}")
-    lam = (B ** (p / 2.0) / A) ** (2.0 / (p - 2.0))
-    c = (A / B) ** (1.0 / (p - 2.0))
+    try:
+        lam = (B ** (p / 2.0) / A) ** (2.0 / (p - 2.0))
+        c = (A / B) ** (1.0 / (p - 2.0))
+        c_p = c**p
+    except OverflowError:  # float ** raises where * and / return inf
+        lam = c = c_p = math.inf
     if not (math.isfinite(lam) and math.isfinite(c)):
         raise ValueError(f"(lambda, c) overflowed for p={p}, A={A}, B={B}")
-    if abs(c * c * lam - B) > 1e-10 * B or abs(c**p * lam - A) > 1e-10 * A:
+    if abs(c * c * lam - B) > 1e-10 * B or abs(c_p * lam - A) > 1e-10 * A:
         raise ValueError(f"(lambda, c) residuals too large for p={p}, A={A}, B={B}")
     return LambdaC(lam, c)
 

@@ -11,11 +11,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bnd
 from .errors import SharpRosenthalError, UnsupportedExponents
-from .measures import DiscreteRV
+from .measures import DiscreteRV, LevyVarianceMeasure
 from .poisson import SeriesConfig
 from .suites import (
     domination_suite,
@@ -24,8 +23,7 @@ from .suites import (
     tightness_suite,
     variation_suite,
 )
-from .verify import solve_accompanying, accompanying_sequence_moment
-from .measures import LevyVarianceMeasure
+from .verify import accompanying_sequence_moment, solve_accompanying
 
 EXIT_OK = 0
 EXIT_CASE_FAILED = 1
@@ -51,6 +49,11 @@ def _series_config(args) -> SeriesConfig:
     if tol is None:
         tol = float(os.environ.get(TOL_ENV_VAR, 1e-12))
     return SeriesConfig(tol=tol, max_terms=args.max_terms)
+
+
+def _q(args) -> float:
+    """The moment exponent q, which defaults to p."""
+    return args.p if args.q is None else args.q
 
 
 def _load_rv(spec: str) -> DiscreteRV:
@@ -100,16 +103,13 @@ def _cmd_bound(args) -> int:
     if args.mode == "even":
         result = bnd.even_p_bound(int(args.p), args.A, args.B)
     elif args.mode == "symmetric":
-        result = bnd.symmetric_bound(args.p, args.q if args.q is not None else args.p, args.A, args.B, X, cfg)
+        result = bnd.symmetric_bound(args.p, _q(args), args.A, args.B, X, cfg)
     elif args.mode == "combined":
         if args.A1 is None or args.B1 is None:
             raise UnsupportedExponents("combined mode needs --A1 and --B1")
-        result = bnd.combined_bound(
-            args.p, args.q if args.q is not None else args.p, args.A, args.B, args.A1, args.B1, X, cfg
-        )
+        result = bnd.combined_bound(args.p, _q(args), args.A, args.B, args.A1, args.B1, X, cfg)
     else:
-        q = args.q if args.q is not None else args.p
-        result = bnd.exact_bound(args.p, q, args.A, args.B, X, cfg)
+        result = bnd.exact_bound(args.p, _q(args), args.A, args.B, X, cfg)
     _emit_record(_bound_to_dict(result), args.output)
     return EXIT_OK
 
@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
     elif args.suite == "variation":
         reports = variation_suite(args.cases, args.seed, cfg)
     else:  # qscan
-        reports = qscan_suite(args.p, args.q if args.q is not None else args.p, args.A, args.B, args.grid, cfg)
+        reports = qscan_suite(args.p, _q(args), args.A, args.B, args.grid, cfg)
     failed = 0
     for report in reports:
         rec = report.to_json_dict()
@@ -161,8 +161,7 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     cfg = _series_config(args)
     X = _load_rv(args.x)
-    q = args.q if args.q is not None else args.p
-    result = bnd.q_scan(args.p, q, args.A, args.B, X, args.grid, cfg)
+    result = bnd.q_scan(args.p, _q(args), args.A, args.B, X, args.grid, cfg)
     record = {
         "best_c1": result.best_point.c1,
         "best_c2": result.best_point.c2,
@@ -179,9 +178,8 @@ def _cmd_scan(args) -> int:
 def _cmd_limit(args) -> int:
     cfg = _series_config(args)
     X = _load_rv(args.x)
-    q = args.q if args.q is not None else args.p
     c2s = _parse_values(args.c2)
-    result = bnd.limit_compound(args.p, q, args.A, args.B, args.b, args.a, c2s, X, cfg)
+    result = bnd.limit_compound(args.p, _q(args), args.A, args.B, args.b, args.a, c2s, X, cfg)
     for entry in result.entries:
         print(
             json.dumps(

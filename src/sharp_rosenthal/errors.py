@@ -49,7 +49,7 @@ class SingularSystem(SharpRosenthalError):
 
 
 class NewtonDiverged(SharpRosenthalError):
-    """The 2-d Newton solve for accompanying-law parameters did not converge."""
+    """The accompanying-law parameters could not be solved to tolerance."""
 
 
 class InfeasibleMass(SharpRosenthalError):

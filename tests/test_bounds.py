@@ -66,6 +66,11 @@ class TestSolveLambdaC:
             assert lc.c**2 * lc.lam == pytest.approx(B, rel=1e-10)
             assert lc.c**p * lc.lam == pytest.approx(A, rel=1e-10)
 
+    def test_overflow_is_value_error(self):
+        # lambda = (B^{p/2}/A)^{2/(p-2)} ~ 1e1203 overflows float **
+        with pytest.raises(ValueError, match="overflowed"):
+            solve_lambda_c(2.01, 0.001, 1000.0)
+
 
 class TestEvenPBound:
     def test_p4(self):

@@ -68,6 +68,12 @@ class TestBoundCommand:
         )
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("command", [("bound",), ("accompany", "--n", "4")])
+    def test_lambda_overflow_exit_code(self, capsys, command):
+        code, _, err = run_cli(capsys, *command, "--p", "2.01", "--A", "0.001", "--B", "1000")
+        assert code == EXIT_PARSE
+        assert "input error" in err
+
     def test_parse_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["bound", "--p", "not-a-number", "--A", "1", "--B", "1"])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sharp_rosenthal.bounds import even_p_bound, solve_lambda_c
+from sharp_rosenthal.bounds import even_p_bound, exact_bound, solve_lambda_c
 from sharp_rosenthal.errors import InfeasibleMass, NotZeroMean, SupportTooLarge
 from sharp_rosenthal.measures import (
     DiscreteRV,
@@ -190,6 +190,63 @@ class TestSolveAccompanying:
     def test_infeasible_mass(self):
         with pytest.raises(InfeasibleMass):
             solve_accompanying(LevyVarianceMeasure([(1.0, 100.0)]), 4, 4.0, 100.0, 100.0)
+
+    @staticmethod
+    def _solve_and_reproduce(p, A, B, n, rel):
+        lc = solve_lambda_c(p, A, B)
+        params = solve_accompanying(LevyVarianceMeasure([(lc.c, lc.lam)]), n, p, A, B)
+        f2, fp = _member_moments(
+            params.kappa, params.gamma, n, np.array([lc.c]), np.array([lc.lam]), (2.0, p)
+        )
+        assert f2 == pytest.approx(B, rel=rel)
+        assert fp == pytest.approx(A, rel=rel)
+        pi = params.kappa * lc.lam / n
+        assert 0.0 < pi <= 0.5
+        return pi
+
+    def test_feasible_sweep_reproduces(self):
+        # every input with lambda <= n solves, on the root pi <= 1/2
+        rng = np.random.default_rng(2013)
+        solved = 0
+        for _ in range(400):
+            p = 40.0 - float(rng.uniform(0.0, 38.0))
+            A, B = np.exp(rng.uniform(-8.0, 8.0, 2))
+            n = int(rng.choice([2, 3, 7, 64, 4096, 2**21]))
+            try:
+                lam = solve_lambda_c(p, A, B).lam
+            except ValueError:  # (lambda, c) overflows a double
+                continue
+            if lam > n:
+                continue
+            self._solve_and_reproduce(p, A, B, n, 1e-13)
+            solved += 1
+        assert solved >= 200
+
+    @pytest.mark.parametrize("p, n", [(4.0, 16), (6.613, 2)])
+    def test_feasibility_edge(self, p, n):
+        # B = 1 and A = n^{-(p-2)/2} put lambda at n; at p = 6.613 the
+        # computed psi(1/2) rounds to just below n
+        A = n ** (-(p - 2.0) / 2.0)
+        assert solve_lambda_c(p, A, 1.0).lam == n
+        assert self._solve_and_reproduce(p, A, 1.0, n, 1e-13) == 0.5
+        G = LevyVarianceMeasure([(1.0, 1.0)])
+        with pytest.raises(InfeasibleMass):
+            solve_accompanying(G, n, p, A / (1.0 + 1e-9) ** ((p - 2.0) / 2.0), 1.0)
+
+    def test_inputs_the_newton_solve_missed(self):
+        p, A, B = 5.601809838920818, 0.1265176410210817, 1.1221612517597384
+        self._solve_and_reproduce(p, A, B, 16, 1e-13)
+        moment = accompanying_sequence_moment(p, A, B, 16)
+        assert moment == pytest.approx(16.4097, rel=1e-5)
+        assert moment < exact_bound(p, p, A, B).value
+        p, A, B = 4.727095592053946, 0.26538361066834265, 0.9147228697858845
+        assert solve_lambda_c(p, A, B).lam == pytest.approx(2.27, abs=0.01)
+        self._solve_and_reproduce(p, A, B, 3, 1e-13)
+
+    @pytest.mark.parametrize("atoms", [[(1.0, 0.5), (-2.0, 0.25)], [(0.0, 1.0)]])
+    def test_rejects_unusable_measure(self, atoms):
+        with pytest.raises(ValueError):
+            solve_accompanying(LevyVarianceMeasure(atoms), 16, 5.0, 1.0, 1.0)
 
 
 class TestAccompanyingSequenceMoment:

@@ -14,7 +14,7 @@ import sys
 
 from . import bounds as bnd
 from .errors import SharpRosenthalError, UnsupportedExponents
-from .measures import DiscreteRV, LevyVarianceMeasure
+from .measures import DiscreteRV
 from .poisson import SeriesConfig
 from .suites import (
     domination_suite,
@@ -23,7 +23,7 @@ from .suites import (
     tightness_suite,
     variation_suite,
 )
-from .verify import accompanying_sequence_moment, solve_accompanying
+from .verify import _accompanying_array
 
 EXIT_OK = 0
 EXIT_CASE_FAILED = 1
@@ -196,12 +196,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_accompany(args) -> int:
-    cfg = _series_config(args)
-    lc = bnd.solve_lambda_c(args.p, args.A, args.B)
-    params = solve_accompanying(
-        LevyVarianceMeasure([(lc.c, lc.lam)]), args.n, args.p, args.A, args.B
-    )
-    moment = accompanying_sequence_moment(args.p, args.A, args.B, args.n, cfg)
+    _series_config(args)  # rejects a bad --tol or --max-terms, as every command does
+    lc, params, moment = _accompanying_array(args.p, args.A, args.B, args.n)
     record = {
         "n": args.n,
         "kappa": params.kappa,

@@ -40,6 +40,8 @@ from .measures import DiscreteRV, LevyVarianceMeasure
 from .poisson import (
     DEFAULT_CONFIG,
     SeriesConfig,
+    _head_certified,
+    _tail_certified,
     certified_lower_cutoff,
     certified_upper_cutoff,
     gaussian_abs_moment,
@@ -178,7 +180,9 @@ def _law_grid(
     |u_i|^r pmf(k) (M_i/|u_i| + |k - lam_i|)^r, where
     M_i = ||everything else||_q + shift_bound, each side by half of the
     atom's share of ``cfg.tol``; so the grid stays certified for the moment
-    of any shifted law |x + ...|^r with |x| <= shift_bound.
+    of any shifted law |x + ...|^r with |x| <= shift_bound.  The norms of the
+    other atoms enter only when there are other atoms, and the Gaussian
+    norm only when there is a Gaussian part.
 
     The grid is certified at every exponent r in [q_min, q] (q_min defaults
     to q).  Norms do not decrease in r, so M_i at q serves every r, and each
@@ -186,6 +190,11 @@ def _law_grid(
     fixed window the certified bound t(K+1)/(1 - rho(K+1)) on a side is
     log-convex in r: log t and log rho are linear in r, and -log(1 - e^x)
     is convex and increasing.  So its two end values bound it in between.
+    The window is certified at q first and then tested once at q_min; the
+    search at q_min runs only on a side that test fails, where it widens.
+
+    The first atom composed onto a one-point background is a scalar shift
+    and scale of its window; later atoms compose as outer products.
     """
     nz = law.levy.nonzero_atoms()
     if len(nz) > MAX_NONZERO_ATOMS:
@@ -193,42 +202,48 @@ def _law_grid(
             f"series engine supports at most {MAX_NONZERO_ATOMS} nonzero-location atoms, "
             f"got {len(nz)}"
         )
-    ends = (q,) if q_min in (None, q) else (q_min, q)
     sd = math.sqrt(law.levy.gaussian_variance())
-    xs = law.x0 + law.background.values
-    # a Python max: np.max costs several times more on the usual one or two values
-    base = shift_bound + max(map(abs, xs.tolist())) + (sd * gaussian_norm_bound(q) if sd else 0.0)
-    lams = [w / (u * u) for u, w in nz]
-    norms = [abs(u) * poisson_centered_norm_bound(lam, q) for (u, _), lam in zip(nz, lams)]
+    atoms = law.background.atoms
+    values = [law.x0 + x for x, _ in atoms]
+    probs = [p for _, p in atoms]
+    base = shift_bound + max(map(abs, values)) + (sd * gaussian_norm_bound(q) if sd else 0.0)
+    if len(nz) > 1:
+        norms = [abs(u) * poisson_centered_norm_bound(w / (u * u), q) for u, w in nz]
     tol_dim = cfg.tol / (2.0 * max(1, len(nz)))
-    values = np.asarray(xs, dtype=float)
-    probs = law.background.probs
+    tol_side = tol_dim / 2.0
     tail = 0.0
     windows = []
-    for i, ((u, _), lam) in enumerate(zip(nz, lams)):
-        m_i = base + sum(norms[j] for j in range(len(nz)) if j != i)
-        offset = m_i / abs(u)
-        lo = min(
-            certified_lower_cutoff(lam, r, tol_dim / 2.0, offset, r * math.log(abs(u)))
-            for r in ends
-        )
-        hi = max(
-            certified_upper_cutoff(
-                lam, r, tol_dim / 2.0, cfg.max_terms, offset, r * math.log(abs(u))
-            )
-            for r in ends
-        )
+    for i, (u, w) in enumerate(nz):
+        lam = w / (u * u)
+        others = sum(norms[j] for j in range(len(nz)) if j != i) if len(nz) > 1 else 0.0
+        offset = (base + others) / abs(u)
+        log_u = math.log(abs(u))
+        lo = certified_lower_cutoff(lam, q, tol_side, offset, q * log_u)
+        hi = certified_upper_cutoff(lam, q, tol_side, cfg.max_terms, offset, q * log_u)
+        if q_min not in (None, q):
+            at_q_min = (lam, math.log(lam), q_min, math.log(tol_side), offset, q_min * log_u)
+            if lo > 0 and not _head_certified(lo - 1, *at_q_min):
+                lo = certified_lower_cutoff(lam, q_min, tol_side, offset, q_min * log_u)
+            if not _tail_certified(hi, *at_q_min):
+                hi = certified_upper_cutoff(
+                    lam, q_min, tol_side, cfg.max_terms, offset, q_min * log_u
+                )
         width = hi - lo + 1
-        if values.size * width > cfg.max_terms:
+        if len(values) * width > cfg.max_terms:
             raise TailNotConverged(
                 f"composed grid would exceed max_terms={cfg.max_terms} "
-                f"({values.size} x {width})"
+                f"({len(values)} x {width})"
             )
         ks = np.arange(lo, hi + 1, dtype=float)
-        values = np.add.outer(values, u * (ks - lam)).ravel()
-        probs = np.multiply.outer(probs, poisson_pmf(ks, lam)).ravel()
+        steps, pmf = u * (ks - lam), poisson_pmf(ks, lam)
+        if len(values) == 1:
+            values, probs = values[0] + steps, probs[0] * pmf
+        else:
+            values = np.add.outer(values, steps).ravel()
+            probs = np.multiply.outer(probs, pmf).ravel()
         tail += tol_dim
         windows.append((lo, hi))
+    values, probs = np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
     return _LawGrid(values, probs, sd, tail, tuple(windows))
 
 
@@ -324,8 +339,10 @@ def cp_part_moment_series(
 def _shifted_expect(grid: _LawGrid, q: float, kind: str, shifts: np.ndarray) -> np.ndarray:
     """sum_j p_j E f(shift + values_j + sd Z) for each shift of a 1-D array,
     by ``_expect`` over blocks of at most 2^23 shift x grid points."""
-    out = np.empty(shifts.size)
     block = max(1, (1 << 23) // max(1, grid.values.size))
+    if shifts.size <= block:
+        return _expect(grid, q, kind, shifts[:, None] + grid.values[None, :])
+    out = np.empty(shifts.size)
     for start in range(0, shifts.size, block):
         rows = slice(start, start + block)
         out[rows] = _expect(grid, q, kind, shifts[rows, None] + grid.values[None, :])

@@ -10,10 +10,15 @@ the series engine in :mod:`sharp_rosenthal.compound`.
 All infinite series are truncated to *certified* windows [L, K] around the
 mean.  Away from the center the consecutive-term ratio of the envelope
 decreases on both sides, so the discarded sum beyond an index is at most the
-first discarded term over one minus its ratio; an exponential search, whose
-first stride is isqrt(ceil(lambda)), and a bisection find the narrowest
-window this certifies, which is O(sqrt(lambda)) wide.  Poisson probabilities are computed in log space so intensities up to
-1e4 are handled without overflow.
+first discarded term over one minus its ratio, a test that stays passed
+further out.  Each cutoff is the nearest index that passes it.  A
+closed-form guess -- at most two Newton steps on the continuous
+log-envelope, from a Bernstein or sub-Gaussian edge or, below lambda = 1,
+from the first index past the mean -- starts one search, exponential
+outward from the guess and then bisection, which usually makes two tests.
+The guess moves only the number of tests, never the cutoff.  The window is
+O(sqrt(lambda)) wide.  Poisson probabilities are computed in log space so
+intensities up to 1e4 are handled without overflow.
 
 Gaussian moments have closed forms, vectorized over the mean: the absolute
 moment through Kummer's 1F1 and the part moments through the parabolic
@@ -75,44 +80,188 @@ def poisson_pmf(ks: np.ndarray, lam: float) -> np.ndarray:
     return np.exp(_log_poisson_pmf(np.asarray(ks, dtype=float), lam))
 
 
-def _log_term(k: float, lam: float, offset: float, q: float, log_scale: float) -> float:
-    """log of scale * pmf(k; lam) * (offset + |k - lam|)^q."""
+def _log_term(
+    k: float, lam: float, log_lam: float, offset: float, q: float, log_scale: float
+) -> float:
+    """log of scale * pmf(k; lam) * (offset + |k - lam|)^q, given log_lam = log(lam)."""
     return (
         log_scale
-        + k * math.log(lam)
+        + k * log_lam
         - lam
         - math.lgamma(k + 1.0)
         + q * math.log(offset + abs(k - lam))
     )
 
 
-def _first_passing(passes, lo: int, hi: int, step: int) -> int | None:
+def _tail_certified(
+    cut: int, lam: float, log_lam: float, q: float, log_tol: float, offset: float, log_scale: float
+) -> bool:
+    """Whether t(k)/(1 - r(k)) <= tol at k = cut + 1, which certifies the
+    envelope's tail beyond ``cut`` below tol (see certified_upper_cutoff)."""
+    k = cut + 1.0
+    log_ratio = math.log(lam / (k + 1.0)) + q * math.log1p(1.0 / (offset + k - lam))
+    if log_ratio >= 0.0:
+        return False
+    log_first = _log_term(k, lam, log_lam, offset, q, log_scale)
+    return log_first - math.log(-math.expm1(log_ratio)) <= log_tol
+
+
+def _head_certified(
+    k: int, lam: float, log_lam: float, q: float, log_tol: float, offset: float, log_scale: float
+) -> bool:
+    """Whether the envelope's head at and below index k < lam is certified
+    below tol: t(0) <= tol at k = 0, else t(k)/(1 - s(k)) <= tol (see
+    certified_lower_cutoff)."""
+    if k == 0:
+        return _log_term(0.0, lam, log_lam, offset, q, log_scale) <= log_tol
+    log_ratio = math.log(k / lam) + q * math.log1p(1.0 / (offset + lam - k))
+    if log_ratio >= 0.0:
+        return False
+    log_last = _log_term(k, lam, log_lam, offset, q, log_scale)
+    return log_last - math.log(-math.expm1(log_ratio)) <= log_tol
+
+
+def _first_passing(passes, lo: int, hi: int, guess: int) -> int | None:
     """Smallest k in [lo, hi] with passes(k), for a test that stays true once
     true; None when passes(hi) is false.
 
-    Exponential search from lo with a first stride of ``step``, then
-    bisection: O(log((k - lo)/step) + log(step)) tests.
+    Exponential search outward from ``guess`` (clamped into [lo, hi]) with
+    strides 1, 2, 4, ...: down while the test passes, up while it fails.
+    Bisection then closes the last stride: O(log |k - guess|) tests, and two
+    when the guess is k or k - 1.
     """
     if lo > hi:
         return None
-    failed, k = lo - 1, lo
-    while not passes(k):
-        if k >= hi:
-            return None
-        failed, k, step = k, min(k + step, hi), 2 * step
-    while k - failed > 1:
-        mid = (failed + k) // 2
+    k = lo if guess < lo else hi if guess > hi else guess
+    step = 1
+    if passes(k):
+        failed, found = lo - 1, k
+        while found > lo:
+            k = found - step if found - step > lo else lo
+            if not passes(k):
+                failed = k
+                break
+            found, step = k, 2 * step
+    else:
+        failed = k
+        while True:
+            if failed >= hi:
+                return None
+            k = failed + step if failed + step < hi else hi
+            if passes(k):
+                found = k
+                break
+            failed, step = k, 2 * step
+    while found - failed > 1:
+        mid = (failed + found) // 2
         if passes(mid):
-            k = mid
+            found = mid
         else:
             failed = mid
-    return k
+    return found
 
 
-def _search_step(lam: float) -> int:
-    """First stride of the cutoff searches, on the O(sqrt(lam)) scale of the
-    distance from the mean to either window edge."""
-    return max(1, math.isqrt(math.ceil(lam)))
+#: digamma(2) = 1 - Euler's constant: the slope of -lgamma(x + 1) at x = 1.
+_DIGAMMA_2 = 1.0 - 0.5772156649015329
+
+#: Below this intensity each index past the mean costs the envelope a factor
+#: lam, so the window ends within a few indices of the mean; a search from
+#: the mean itself makes as few tests there as one from any computed guess.
+_SEARCH_FROM_MEAN = 1e-8
+
+
+def _envelope_excess(
+    lam: float, q: float, log_tol: float, offset: float, log_scale: float
+) -> float:
+    """Nats, at least 0, by which the envelope near the mean exceeds tol:
+    log(scale * (offset + sqrt(lam))^q / sqrt(1 + 2 pi lam)) - log(tol), the
+    pmf at the mode taken as 1/sqrt(1 + 2 pi lam)."""
+    peak = log_scale + q * math.log(offset + math.sqrt(lam)) - 0.5 * math.log1p(2.0 * math.pi * lam)
+    return max(peak - log_tol, 0.0)
+
+
+def _settled(x: float, step: float, slope: float, lam: float, q: float, offset: float) -> bool:
+    """Whether the Newton step of ``_upper_guess`` that ended at x left less
+    than half an index to the root, about |l''| step^2 / (2 |slope|) for the
+    log-envelope's curvature |l''| ~ 1/(x + 1/2) + q/d^2 between the last two
+    iterates; or whether x is at or before the first index past the mean."""
+    if x <= lam + 1.0:
+        return True
+    mid = x + 0.5 * step
+    d = offset + mid - lam
+    return (1.0 / (mid + 0.5) + q / (d * d)) * step * step < -slope
+
+
+def _upper_guess(
+    lam: float, log_lam: float, q: float, log_tol: float, offset: float, log_scale: float
+) -> int:
+    """A guess at the minimal certified cutoff of certified_upper_cutoff.
+
+    Newton's method in the index x = cut + 1 of the first discarded term, on
+    phi(x) = log(t(x)/(1 - r(x))) - log(tol), whose root the cutoff sits
+    next to, with digamma(x + 1) ~ log(x + 1/2) in the slope and the ratio
+    term left out of it.  Below lam = 1 a first step from x = 1, where
+    lgamma(2) = 0 and digamma(2) is exact, costs one logarithm and is the
+    guess when it settles (:func:`_settled`).  Otherwise Newton starts from
+    the smaller of where that step ends and the Bernstein edge lam + e/3 +
+    sqrt(e^2/9 + 2 lam e), e the envelope's excess over tol near the mean
+    (both lie beyond the root when the ratio term is small), and takes up
+    to two steps, stopping once one settles, the ratio reaches 1 or the
+    slope turns nonnegative.  The guess is rounded down by half an index,
+    so an estimate within half an index of the root lands on K or K - 1,
+    from either of which the search makes two tests.  Below lam = 1e-8 the
+    guess is the mean itself.
+    """
+    if lam < _SEARCH_FROM_MEAN:
+        return 1  # ceil(lam), the first index past the mean
+    x = math.inf
+    if lam < 1.0:
+        d = offset + 1.0 - lam
+        slope = log_lam - _DIGAMMA_2 + q / d
+        if slope < 0.0:
+            step = (log_scale + log_lam - lam + q * math.log(d) - log_tol) / slope
+            x = 1.0 - step
+            if _settled(x, step, slope, lam, q, offset):
+                return math.ceil(x - 1.5)
+    e = _envelope_excess(lam, q, log_tol, offset, log_scale)
+    x = min(x, lam + e / 3.0 + math.sqrt(e * e / 9.0 + 2.0 * lam * e) + 1.0)
+    for _ in range(2):
+        d = offset + x - lam
+        log_ratio = log_lam - math.log(x + 1.0) + q * math.log1p(1.0 / d)
+        slope = log_lam - math.log(x + 0.5) + q / d
+        if log_ratio >= 0.0 or slope >= 0.0:
+            break
+        log_term = log_scale + x * log_lam - lam - math.lgamma(x + 1.0) + q * math.log(d)
+        step = (log_term - math.log(-math.expm1(log_ratio)) - log_tol) / slope
+        x -= step
+        if _settled(x, step, slope, lam, q, offset):
+            break
+    return math.ceil(x - 1.5)
+
+
+def _lower_guess(
+    lam: float, log_lam: float, q: float, log_tol: float, offset: float, log_scale: float
+) -> int:
+    """A guess at the maximal certified cutoff of certified_lower_cutoff.
+
+    Starts at the sub-Gaussian edge x = lam - sqrt(2 lam e), in the index
+    x = L - 1 of the last discarded term, and takes up to two Newton steps on
+    the log of the certified head t(x)/(1 - s(x)) over tol, the mirror of
+    :func:`_upper_guess`, rounded up by half an index.
+    """
+    e = _envelope_excess(lam, q, log_tol, offset, log_scale)
+    x = lam - math.sqrt(2.0 * lam * e)
+    for _ in range(2):
+        d = offset + lam - x
+        if x <= 0.0 or d <= 0.0:
+            break
+        log_ratio = math.log(x) - log_lam + q * math.log1p(1.0 / d)
+        slope = log_lam - math.log(x + 0.5) - q / d
+        if log_ratio >= 0.0 or slope <= 0.0:
+            break
+        log_term = log_scale + x * log_lam - lam - math.lgamma(x + 1.0) + q * math.log(d)
+        x -= (log_term - math.log(-math.expm1(log_ratio)) - log_tol) / slope
+    return math.floor(max(x, 0.0) + 0.5) + 1
 
 
 def certified_upper_cutoff(
@@ -129,19 +278,17 @@ def certified_upper_cutoff(
     t(k) = scale * pmf(k; lam) * (offset + k - lam)^q.  Above the mean the
     ratio r(k) = t(k+1)/t(k) = lam/(k+1) * (1 + 1/(offset + k - lam))^q
     decreases, so once r(k) < 1 the tail from k is at most t(k)/(1 - r(k)),
-    and that test, once passed, passes at every larger k.
+    and that test, once passed, passes at every larger K.  The search starts
+    at a closed-form guess (:func:`_upper_guess`) and walks outward from it,
+    so the guess sets only how many tests are made, never K.
     """
-    log_tol = math.log(tol)
+    log_tol, log_lam = math.log(tol), math.log(lam)
 
-    def tail_certified(cut: int) -> bool:
-        k = cut + 1.0
-        log_ratio = math.log(lam / (k + 1.0)) + q * math.log1p(1.0 / (offset + k - lam))
-        if log_ratio >= 0.0:
-            return False
-        log_first = _log_term(k, lam, offset, q, log_scale)
-        return log_first - math.log(-math.expm1(log_ratio)) <= log_tol
+    def passes(cut: int) -> bool:
+        return _tail_certified(cut, lam, log_lam, q, log_tol, offset, log_scale)
 
-    cutoff = _first_passing(tail_certified, math.ceil(lam), max_terms, _search_step(lam))
+    guess = _upper_guess(lam, log_lam, q, log_tol, offset, log_scale)
+    cutoff = _first_passing(passes, math.ceil(lam), max_terms, guess)
     if cutoff is None:
         raise TailNotConverged(
             f"no certified cutoff below max_terms={max_terms} for lam={lam}, q={q}"
@@ -158,25 +305,23 @@ def certified_lower_cutoff(
     t(k) = scale * pmf(k; lam) * (offset + lam - k)^q.  Below the mean the
     ratio s(k) = t(k-1)/t(k) = (k/lam) * (1 + 1/(offset + lam - k))^q
     decreases as k does, so the head below L is at most
-    t(L-1)/(1 - s(L-1)) once s(L-1) < 1.  Returns 0 at once when t(0) alone
-    exceeds ``tol``, which at small lam costs one term and no search.
+    t(L-1)/(1 - s(L-1)) once s(L-1) < 1, and that test, once passed, passes
+    at every smaller L.  Returns 0 at once when t(0) alone exceeds ``tol``,
+    which at small lam costs one term and no search; otherwise the search
+    walks outward from :func:`_lower_guess`, which sets only how many tests
+    are made, never L.
     """
     log_tol = math.log(tol)
-    if _log_term(0.0, lam, offset, q, log_scale) > log_tol:
+    if _log_term(0.0, lam, 0.0, offset, q, log_scale) > log_tol:  # log(lam) drops out at k = 0
         return 0
+    log_lam = math.log(lam)
     top = math.ceil(lam) - 1  # the largest index below the mean
 
-    def head_certified(depth: int) -> bool:
-        k = top - depth
-        if k == 0:
-            return True
-        log_ratio = math.log(k / lam) + q * math.log1p(1.0 / (offset + lam - k))
-        if log_ratio >= 0.0:
-            return False
-        log_last = _log_term(k, lam, offset, q, log_scale)
-        return log_last - math.log(-math.expm1(log_ratio)) <= log_tol
+    def passes(depth: int) -> bool:
+        return _head_certified(top - depth, lam, log_lam, q, log_tol, offset, log_scale)
 
-    return top - _first_passing(head_certified, 0, top, _search_step(lam)) + 1
+    guess = _lower_guess(lam, log_lam, q, log_tol, offset, log_scale)
+    return top - _first_passing(passes, 0, top, top - guess + 1) + 1
 
 
 def poisson_central_moment_even(lam: float, n: int) -> float:

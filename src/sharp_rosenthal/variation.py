@@ -253,7 +253,7 @@ def positivity_kernel(
     evaluate = ShiftedMomentEvaluator(CompoundLaw(0.0, X, H), q - 4.0, abs(alpha * s), cfg)
     prefactor = q * (q - 1.0) * (q - 2.0) * (q - 3.0)
     m_small, m_big = evaluate(np.array([u * alpha * s, alpha * s]))
-    return prefactor * (m_small - u ** (p - 4.0) * m_big)
+    return float(prefactor * (m_small - u ** (p - 4.0) * m_big))
 
 
 def variational_F(

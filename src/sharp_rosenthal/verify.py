@@ -15,7 +15,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from .bounds import _budget, exact_bound, require_zero_mean, solve_lambda_c
 from .compound import MAX_NONZERO_ATOMS, CompoundLaw, cp_abs_moment
@@ -285,6 +284,48 @@ def solve_accompanying(
     return AccompanyingParams(kappa, gamma, n)
 
 
+def _binomial_weights(n: int, pi: float) -> np.ndarray:
+    """Binomial(n, pi) probabilities for k = 0..n up to one common factor.
+
+    The ratios pmf(k+1)/pmf(k) = (n-k)/(k+1) * pi/(1-pi) are multiplied out
+    from the mode, whose weight is 1, so a weight |k - mode| steps out
+    carries about that many roundings.  Log-factorials from gammaln would
+    instead carry an absolute error near n log(n) eps in every exponent.
+    """
+    ks = np.arange(n + 1, dtype=float)
+    mode = min(int((n + 1) * pi), n)
+    odds = pi / (1.0 - pi)
+    weights = np.empty(n + 1)
+    weights[mode] = 1.0
+    up = ks[mode:n]
+    weights[mode + 1 :] = np.cumprod((n - up) / (up + 1.0) * odds)
+    down = ks[mode:0:-1]
+    weights[:mode] = np.cumprod(down / (n - down + 1.0) / odds)[::-1]
+    return weights
+
+
+def _accompanying_array(p: float, A: float, B: float, n: int):
+    """(solve_lambda_c's (lam, c), the array's parameters, E|S_n|^p) at size n.
+
+    With G = lam*delta_c the array sum is S_n = gamma*c*(K - kappa*lam) for
+    K ~ Binomial(n, kappa*lam/n).  The moment is the exact binomial sum over
+    the weights that do not underflow, each sum taken with fsum.
+    """
+    if n > 1 << 21:
+        raise TailNotConverged(f"binomial summation capped at n = 2^21, got {n}")
+    lc = solve_lambda_c(p, A, B)
+    params = solve_accompanying(LevyVarianceMeasure([(lc.c, lc.lam)]), n, p, A, B)
+    pi = params.kappa * lc.lam / n
+    weights = _binomial_weights(n, pi)
+    live = np.flatnonzero(weights)
+    first, last = int(live[0]), int(live[-1])
+    weights = weights[first : last + 1]
+    ks = np.arange(first, last + 1, dtype=float)
+    values = np.abs(params.gamma * lc.c * (ks - n * pi)) ** p
+    moment = math.fsum((weights * values).tolist()) / math.fsum(weights.tolist())
+    return lc, params, moment
+
+
 def accompanying_sequence_moment(
     p: float, A: float, B: float, n: int, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> float:
@@ -294,18 +335,4 @@ def accompanying_sequence_moment(
     K ~ Binomial(n, kappa*lam/n); the values climb to the exact bound
     c^p E|Pi_lam - lam|^p as n grows.
     """
-    if n > 1 << 21:
-        raise TailNotConverged(f"binomial summation capped at n = 2^21, got {n}")
-    lc = solve_lambda_c(p, A, B)
-    params = solve_accompanying(LevyVarianceMeasure([(lc.c, lc.lam)]), n, p, A, B)
-    pi = params.kappa * lc.lam / n
-    ks = np.arange(0, n + 1, dtype=float)
-    log_pmf = (
-        gammaln(n + 1.0)
-        - gammaln(ks + 1.0)
-        - gammaln(n - ks + 1.0)
-        + ks * math.log(pi)
-        + (n - ks) * math.log1p(-pi)
-    )
-    values = np.abs(params.gamma * lc.c * (ks - n * pi)) ** p
-    return float(np.exp(log_pmf) @ values)
+    return _accompanying_array(p, A, B, n)[2]

@@ -29,8 +29,12 @@ from sharp_rosenthal.measures import DiscreteRV, LevyVarianceMeasure
 from sharp_rosenthal.poisson import (
     DEFAULT_CONFIG,
     SeriesConfig,
+    certified_lower_cutoff,
+    certified_upper_cutoff,
     gaussian_abs_moment,
+    gaussian_norm_bound,
     poisson_central_moment_even,
+    poisson_centered_norm_bound,
     poisson_pmf,
 )
 
@@ -266,6 +270,40 @@ class TestMultiExponentGrid:
                             for x in shifts
                         )
                         assert lost <= share, (law, q, shift_bound, i, r, lost / share)
+
+    @pytest.mark.parametrize("kappa", [1.0, 2e-3], ids=["unit", "small"])
+    def test_window_is_union_of_end_windows(self, kappa):
+        # _law_grid certifies each window at q and tests it once at q_min;
+        # the result is the union of the windows certified at either end,
+        # with the offset M_i/|u_i| taken at q for both
+        rng = np.random.default_rng(76)
+        cfg = SeriesConfig(tol=1e-12)
+        widened = 0
+        for _ in range(24):
+            law, q, shift_bound = _multi_exponent_draw(rng, kappa, bool(rng.random() < 0.5))
+            q_min = q - 4.0
+            grid = _law_grid(law, q, cfg, shift_bound, q_min=q_min)
+            nz = law.levy.nonzero_atoms()
+            sd = math.sqrt(law.levy.gaussian_variance())
+            base = shift_bound + max(abs(x) for x, _ in law.background.atoms)
+            base += sd * gaussian_norm_bound(q) if sd else 0.0
+            norms = [abs(u) * poisson_centered_norm_bound(w / (u * u), q) for u, w in nz]
+            side = cfg.tol / (4.0 * len(nz))
+            for i, ((u, w), window) in enumerate(zip(nz, grid.windows)):
+                offset = (base + sum(norms[:i] + norms[i + 1 :])) / abs(u)
+                ends = [
+                    (
+                        certified_lower_cutoff(w / (u * u), r, side, offset, r * math.log(abs(u))),
+                        certified_upper_cutoff(
+                            w / (u * u), r, side, cfg.max_terms, offset, r * math.log(abs(u))
+                        ),
+                    )
+                    for r in (q_min, q)
+                ]
+                assert window == (min(e[0] for e in ends), max(e[1] for e in ends)), (law, q, i)
+                widened += window != ends[1]
+        # at unit scale q sets the windows; scaled by 2e-3, q_min widens them
+        assert widened > 0 if kappa < 1.0 else widened == 0
 
     @pytest.mark.parametrize("kappa", [1.0, 2e-3], ids=["unit", "small"])
     def test_pruned_mass_within_budget(self, kappa):

@@ -207,6 +207,102 @@ class TestCertifiedWindow:
             certified_upper_cutoff(1e4, 5.0, 1e-12, 10_100)
 
 
+def log_envelope(k, lam, q, offset, log_scale) -> float:
+    """log t(k) = log(scale * pmf(k; lam) * (offset + |k - lam|)^q), summed
+    left to right in the package's order."""
+    return (
+        log_scale
+        + k * math.log(lam)
+        - lam
+        - math.lgamma(k + 1.0)
+        + q * math.log(offset + abs(k - lam))
+    )
+
+
+def tail_passes(cut, lam, q, tol, offset, log_scale) -> bool:
+    """The ratio certificate of the envelope's tail beyond ``cut``:
+    t(k)/(1 - r(k)) <= tol at k = cut + 1, written out here."""
+    k = cut + 1.0
+    log_ratio = math.log(lam / (k + 1.0)) + q * math.log1p(1.0 / (offset + k - lam))
+    if log_ratio >= 0.0:
+        return False
+    log_first = log_envelope(k, lam, q, offset, log_scale)
+    return log_first - math.log(-math.expm1(log_ratio)) <= math.log(tol)
+
+
+def head_passes(k, lam, q, tol, offset, log_scale) -> bool:
+    """The certificate of the envelope's head at and below index k < lam:
+    t(0) <= tol at k = 0, else t(k)/(1 - s(k)) <= tol."""
+    log_t = log_envelope(k, lam, q, offset, log_scale)
+    if k == 0:
+        return log_t <= math.log(tol)
+    log_ratio = math.log(k / lam) + q * math.log1p(1.0 / (offset + lam - k))
+    if log_ratio >= 0.0:
+        return False
+    return log_t - math.log(-math.expm1(log_ratio)) <= math.log(tol)
+
+
+def bisect_upper(lam, q, tol, offset, log_scale, top=10**6) -> int:
+    """Smallest K >= ceil(lam) passing tail_passes, by plain bisection."""
+    failed, found = math.ceil(lam) - 1, top
+    while found - failed > 1:
+        mid = (failed + found) // 2
+        if tail_passes(mid, lam, q, tol, offset, log_scale):
+            found = mid
+        else:
+            failed = mid
+    return found
+
+
+def bisect_lower(lam, q, tol, offset, log_scale) -> int:
+    """Largest L <= ceil(lam) whose head below passes head_passes, by plain
+    bisection; 0 when even t(0) exceeds tol."""
+    if not head_passes(0, lam, q, tol, offset, log_scale):
+        return 0
+    passed, failed = 0, math.ceil(lam)  # the index ceil(lam) is never discarded
+    while failed - passed > 1:
+        mid = (passed + failed) // 2
+        if head_passes(mid, lam, q, tol, offset, log_scale):
+            passed = mid
+        else:
+            failed = mid
+    return passed + 1
+
+
+class TestCutoffSearch:
+    """Each cutoff search starts from a closed-form guess; wherever that
+    guess lands, the cutoff is the nearest index the certificate accepts."""
+
+    @pytest.mark.parametrize(
+        "seed, lam_range, scale_range, offsets",
+        [
+            (1, (-2.0, 4.0), (-5.0, 5.0), (0.0, 0.5, 3.0, 40.0)),
+            (2, (-2.0, 4.0), (-5.0, 5.0), (0.0, 0.5, 3.0, 40.0)),
+            # tiny atoms (|u| << 1 scales the envelope down by |u|^q) and
+            # offsets far beyond the window, where the guess falls short
+            (3, (-12.0, 1.0), (-80.0, 10.0), (0.0, 3.0, 40.0, 200.0)),
+        ],
+        ids=["unit-1", "unit-2", "extreme"],
+    )
+    def test_minimal_window_matches_bisection(self, seed, lam_range, scale_range, offsets):
+        rng = np.random.default_rng(seed)
+        for _ in range(1000):
+            lam = float(10 ** rng.uniform(*lam_range))
+            q = float(rng.uniform(0.5, 8.7))
+            tol = float(10 ** rng.uniform(-16.0, -8.0))
+            offset = float(rng.choice(offsets))
+            log_scale = float(rng.uniform(*scale_range))
+            case = (lam, q, tol, offset, log_scale)
+            hi = certified_upper_cutoff(lam, q, tol, 10**6, offset, log_scale)
+            assert tail_passes(hi, *case), case
+            assert hi == math.ceil(lam) or not tail_passes(hi - 1, *case), case
+            assert hi == bisect_upper(*case), case
+            lo = certified_lower_cutoff(lam, q, tol, offset, log_scale)
+            assert lo == 0 or head_passes(lo - 1, *case), case
+            assert lo == math.ceil(lam) or not head_passes(lo, *case), case
+            assert lo == bisect_lower(*case), case
+
+
 def mp_abs_moment(mean: float, sd: float, q: float) -> mpmath.mpf:
     """E|mean + sd Z|^q at 30 digits from mpmath's 1F1."""
     with mpmath.workdps(30):

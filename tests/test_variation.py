@@ -142,6 +142,10 @@ class TestPositivityKernel:
     def test_positive_interior(self):
         assert positivity_kernel(0.5, 0.5, 0.5, 5.5, 5.5, D0, H1) > 0.0
 
+    def test_returns_python_float(self):
+        # like first_variation, second_variation and variational_F
+        assert type(positivity_kernel(0.5, 0.5, 0.5, 5.5, 5.5, D0, H1)) is float
+
     def test_monotone_in_p(self):
         v1 = positivity_kernel(0.5, 0.5, 0.5, 5.5, 5.5, D0, H1)
         v2 = positivity_kernel(0.5, 0.5, 0.5, 6.0, 5.5, D0, H1)

@@ -254,6 +254,13 @@ class TestAccompanyingSequenceMoment:
         # E|S_2|^4 = A + 3 B^2 (n-1)/n at n = 2
         assert accompanying_sequence_moment(4.0, 1.0, 1.0, 2) == pytest.approx(2.5, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [256, 4096, 2**16, 2**21])
+    def test_exact_at_p4(self, n):
+        # E S_n^4 = n E Z^4 + 3 n(n-1) (E Z^2)^2 = A + 3 B^2 (n-1)/n, so 4 - 3/n
+        # at A = B = 1; log-factorial pmfs lose n log(n) eps and miss by 1.4e-9 at 2^21
+        exact = 4.0 - 3.0 / n
+        assert abs(accompanying_sequence_moment(4.0, 1.0, 1.0, n) - exact) <= 1e-14 * exact
+
     def test_n_trend_p4(self):
         bound = even_p_bound(4, 1.0, 1.0).value
         values = [accompanying_sequence_moment(4.0, 1.0, 1.0, 2**k) for k in range(4, 13)]

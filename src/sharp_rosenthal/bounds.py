@@ -301,13 +301,15 @@ class QPoint:
 
 
 def q_point_from_c(p: float, A: float, B: float, c1: float, c2: float) -> Optional[QPoint]:
-    """Solve the 2x2 system w1 + w2 = B, |c1|^{p-2} w1 + |c2|^{p-2} w2 = A.
+    """Solve the 2x2 system w1 + w2 = B, a1 w1 + a2 w2 = A, ai = |ci|^{p-2}.
 
-    Returns None when a weight is genuinely negative (infeasible direction);
-    clamps roundoff-level negatives to 0 so boundary extremizers stay
-    representable, and returns None when the clamped point no longer meets
-    the (A, B) constraints.  Raises :class:`SingularSystem` when |c1| = |c2| or a
-    scale is zero.
+    A/B = c^{p-2}, with c from :func:`solve_lambda_c`, must be a convex
+    combination of a1 and a2, so the cell is feasible exactly when
+    min |ci| <= c <= max |ci|, and None is returned otherwise.  Each weight
+    comes from its own formula, wi = (aj B - A)/(aj - ai), which cannot
+    cancel against the other; at |ci| = c atom i carries all of B, and a
+    rounding-level negative weight is 0.  Raises :class:`SingularSystem`
+    when |c1| = |c2| or a scale is zero.
     """
     if c1 == 0.0 or c2 == 0.0:
         raise SingularSystem(f"c1 and c2 must be nonzero, got c1={c1}, c2={c2}")
@@ -315,17 +317,17 @@ def q_point_from_c(p: float, A: float, B: float, c1: float, c2: float) -> Option
     a2 = abs(c2) ** (p - 2.0)
     if abs(a1 - a2) <= 1e-14 * max(a1, a2):
         raise SingularSystem(f"|c1|^(p-2) = |c2|^(p-2) is singular: c1={c1}, c2={c2}")
-    w2 = (A - a1 * B) / (a2 - a1)
-    w1 = B - w2
-    lam1 = w1 / (c1 * c1)
-    lam2 = w2 / (c2 * c2)
-    clamp = 1e-12
-    if lam1 < -clamp or lam2 < -clamp:
+    c = solve_lambda_c(p, A, B).c
+    if not min(abs(c1), abs(c2)) <= c <= max(abs(c1), abs(c2)):
         return None
-    point = QPoint(c1, c2, max(lam1, 0.0), max(lam2, 0.0))
-    # at a large |c| a clamped roundoff-level lambda can carry a macroscopic
-    # share of A
-    return point if point.satisfies(p, A, B) else None
+    if abs(c1) == c:
+        w1, w2 = B, 0.0
+    elif abs(c2) == c:
+        w1, w2 = 0.0, B
+    else:
+        w1 = max((a2 * B - A) / (a2 - a1), 0.0)
+        w2 = max((a1 * B - A) / (a1 - a2), 0.0)
+    return QPoint(c1, c2, w1 / (c1 * c1), w2 / (c2 * c2))
 
 
 @dataclass(frozen=True, slots=True)

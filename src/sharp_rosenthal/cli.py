@@ -144,7 +144,7 @@ def _cmd_verify(args) -> int:
     elif args.suite == "domination":
         reports = domination_suite(args.cases, args.seed, args.q if args.q is not None else 5.0, cfg)
     elif args.suite == "tightness":
-        reports = tightness_suite(int(args.p), args.A, args.B, cfg=cfg)
+        reports = tightness_suite(int(args.p), args.A, args.B)
     elif args.suite == "variation":
         reports = variation_suite(args.cases, args.seed, cfg)
     else:  # qscan

@@ -40,10 +40,8 @@ from .measures import DiscreteRV, LevyVarianceMeasure
 from .poisson import (
     DEFAULT_CONFIG,
     SeriesConfig,
-    _head_certified,
-    _tail_certified,
-    certified_lower_cutoff,
-    certified_upper_cutoff,
+    _certified_window,
+    certified_upper_cutoff,  # noqa: F401 -- perfbench's tracer wraps it here too
     gaussian_abs_moment,
     gaussian_norm_bound,
     gaussian_part_moment,
@@ -95,11 +93,6 @@ class CompoundLaw:
 
     def shifted(self, offset: float) -> "CompoundLaw":
         return CompoundLaw(self.x0 + offset, self.background, self.levy)
-
-    def variance(self) -> float:
-        xs, ps = self.background.values, self.background.probs
-        mu = float(ps @ xs)
-        return float(ps @ (xs - mu) ** 2) + self.levy.total_weight()
 
 
 def _r1_horner(u):
@@ -185,13 +178,8 @@ def _law_grid(
     norm only when there is a Gaussian part.
 
     The grid is certified at every exponent r in [q_min, q] (q_min defaults
-    to q).  Norms do not decrease in r, so M_i at q serves every r, and each
-    window is the wider of the windows certified at q_min and at q.  For a
-    fixed window the certified bound t(K+1)/(1 - rho(K+1)) on a side is
-    log-convex in r: log t and log rho are linear in r, and -log(1 - e^x)
-    is convex and increasing.  So its two end values bound it in between.
-    The window is certified at q first and then tested once at q_min; the
-    search at q_min runs only on a side that test fails, where it widens.
+    to q).  Norms do not decrease in r, so M_i at q serves every r, and
+    :func:`poisson._certified_window` certifies each window over [q_min, q].
 
     The first atom composed onto a one-point background is a scalar shift
     and scale of its window; later atoms compose as outer products.
@@ -217,17 +205,9 @@ def _law_grid(
         lam = w / (u * u)
         others = sum(norms[j] for j in range(len(nz)) if j != i) if len(nz) > 1 else 0.0
         offset = (base + others) / abs(u)
-        log_u = math.log(abs(u))
-        lo = certified_lower_cutoff(lam, q, tol_side, offset, q * log_u)
-        hi = certified_upper_cutoff(lam, q, tol_side, cfg.max_terms, offset, q * log_u)
-        if q_min not in (None, q):
-            at_q_min = (lam, math.log(lam), q_min, math.log(tol_side), offset, q_min * log_u)
-            if lo > 0 and not _head_certified(lo - 1, *at_q_min):
-                lo = certified_lower_cutoff(lam, q_min, tol_side, offset, q_min * log_u)
-            if not _tail_certified(hi, *at_q_min):
-                hi = certified_upper_cutoff(
-                    lam, q_min, tol_side, cfg.max_terms, offset, q_min * log_u
-                )
+        lo, hi = _certified_window(
+            lam, q, q_min, tol_side, cfg.max_terms, offset, math.log(abs(u))
+        )
         width = hi - lo + 1
         if len(values) * width > cfg.max_terms:
             raise TailNotConverged(

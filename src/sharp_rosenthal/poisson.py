@@ -8,17 +8,19 @@ those of the two-atom law [(c, c^2 lam1), (-c, c^2 lam2)]; both come from
 the series engine in :mod:`sharp_rosenthal.compound`.
 
 All infinite series are truncated to *certified* windows [L, K] around the
-mean.  Away from the center the consecutive-term ratio of the envelope
-decreases on both sides, so the discarded sum beyond an index is at most the
-first discarded term over one minus its ratio, a test that stays passed
-further out.  Each cutoff is the nearest index that passes it.  A
-closed-form guess -- at most two Newton steps on the continuous
-log-envelope, from a Bernstein or sub-Gaussian edge or, below lambda = 1,
-from the first index past the mean -- starts one search, exponential
-outward from the guess and then bisection, which usually makes two tests.
-The guess moves only the number of tests, never the cutoff.  The window is
-O(sqrt(lambda)) wide.  Poisson probabilities are computed in log space so
-intensities up to 1e4 are handled without overflow.
+mean, and one rule serves both sides, written for a side s = +-1 and a
+distance j from the mean, the first discarded index being ceil(lambda) +
+s (1 + j).  Away from the center the consecutive-term ratio of the envelope
+decreases, so the discarded sum beyond an index is at most the first
+discarded term over one minus its ratio, a test that stays passed further
+out.  Each cutoff is the nearest index that passes it.  A closed-form guess
+-- at most two Newton steps on the continuous log-envelope, from a
+Bernstein or sub-Gaussian edge or, below lambda = 1, from the first index
+past the mean -- starts one search, exponential outward from the guess and
+then bisection, which usually makes two tests.  The guess moves only the
+number of tests, never the cutoff.  The window is O(sqrt(lambda)) wide.
+Poisson probabilities are computed in log space so intensities up to 1e4
+are handled without overflow.
 
 Gaussian moments have closed forms, vectorized over the mean: the absolute
 moment through Kummer's 1F1 and the part moments through the parabolic
@@ -93,72 +95,25 @@ def _log_term(
     )
 
 
-def _tail_certified(
-    cut: int, lam: float, log_lam: float, q: float, log_tol: float, offset: float, log_scale: float
+def _certified(
+    side: int, j: int, lam: float, log_lam: float, q: float, log_tol: float, offset: float,
+    log_scale: float,
 ) -> bool:
-    """Whether t(k)/(1 - r(k)) <= tol at k = cut + 1, which certifies the
-    envelope's tail beyond ``cut`` below tol (see certified_upper_cutoff)."""
-    k = cut + 1.0
-    log_ratio = math.log(lam / (k + 1.0)) + q * math.log1p(1.0 / (offset + k - lam))
+    """Whether the envelope beyond distance j from the mean on ``side`` (+1
+    above, -1 below) is certified below tol: t(k)/(1 - rho(k)) <= tol at the
+    first discarded index k = ceil(lam) + side (1 + j), rho(k) = t(k + side)/t(k)
+    the outward ratio; at k = 0 nothing lies further out and t(0) <= tol."""
+    k = math.ceil(lam) + side * (1 + j)
+    if k == 0:
+        return _log_term(0.0, lam, log_lam, offset, q, log_scale) <= log_tol
+    if side > 0:
+        log_ratio = math.log(lam / (k + 1.0)) + q * math.log1p(1.0 / (offset + k - lam))
+    else:
+        log_ratio = math.log(k / lam) + q * math.log1p(1.0 / (offset + lam - k))
     if log_ratio >= 0.0:
         return False
     log_first = _log_term(k, lam, log_lam, offset, q, log_scale)
     return log_first - math.log(-math.expm1(log_ratio)) <= log_tol
-
-
-def _head_certified(
-    k: int, lam: float, log_lam: float, q: float, log_tol: float, offset: float, log_scale: float
-) -> bool:
-    """Whether the envelope's head at and below index k < lam is certified
-    below tol: t(0) <= tol at k = 0, else t(k)/(1 - s(k)) <= tol (see
-    certified_lower_cutoff)."""
-    if k == 0:
-        return _log_term(0.0, lam, log_lam, offset, q, log_scale) <= log_tol
-    log_ratio = math.log(k / lam) + q * math.log1p(1.0 / (offset + lam - k))
-    if log_ratio >= 0.0:
-        return False
-    log_last = _log_term(k, lam, log_lam, offset, q, log_scale)
-    return log_last - math.log(-math.expm1(log_ratio)) <= log_tol
-
-
-def _first_passing(passes, lo: int, hi: int, guess: int) -> int | None:
-    """Smallest k in [lo, hi] with passes(k), for a test that stays true once
-    true; None when passes(hi) is false.
-
-    Exponential search outward from ``guess`` (clamped into [lo, hi]) with
-    strides 1, 2, 4, ...: down while the test passes, up while it fails.
-    Bisection then closes the last stride: O(log |k - guess|) tests, and two
-    when the guess is k or k - 1.
-    """
-    if lo > hi:
-        return None
-    k = lo if guess < lo else hi if guess > hi else guess
-    step = 1
-    if passes(k):
-        failed, found = lo - 1, k
-        while found > lo:
-            k = found - step if found - step > lo else lo
-            if not passes(k):
-                failed = k
-                break
-            found, step = k, 2 * step
-    else:
-        failed = k
-        while True:
-            if failed >= hi:
-                return None
-            k = failed + step if failed + step < hi else hi
-            if passes(k):
-                found = k
-                break
-            failed, step = k, 2 * step
-    while found - failed > 1:
-        mid = (failed + found) // 2
-        if passes(mid):
-            found = mid
-        else:
-            failed = mid
-    return found
 
 
 #: digamma(2) = 1 - Euler's constant: the slope of -lgamma(x + 1) at x = 1.
@@ -181,10 +136,11 @@ def _envelope_excess(
 
 
 def _settled(x: float, step: float, slope: float, lam: float, q: float, offset: float) -> bool:
-    """Whether the Newton step of ``_upper_guess`` that ended at x left less
-    than half an index to the root, about |l''| step^2 / (2 |slope|) for the
-    log-envelope's curvature |l''| ~ 1/(x + 1/2) + q/d^2 between the last two
-    iterates; or whether x is at or before the first index past the mean."""
+    """Whether a Newton step of :func:`_guess` above the mean that ended at x
+    left less than half an index to the root, about |l''| step^2 / (2 |slope|)
+    for the log-envelope's curvature |l''| ~ 1/(x + 1/2) + q/d^2 between the
+    last two iterates; or whether x is at or before the first index past the
+    mean."""
     if x <= lam + 1.0:
         return True
     mid = x + 0.5 * step
@@ -192,76 +148,105 @@ def _settled(x: float, step: float, slope: float, lam: float, q: float, offset: 
     return (1.0 / (mid + 0.5) + q / (d * d)) * step * step < -slope
 
 
-def _upper_guess(
-    lam: float, log_lam: float, q: float, log_tol: float, offset: float, log_scale: float
+def _guess(
+    side: int, lam: float, log_lam: float, q: float, log_tol: float, offset: float,
+    log_scale: float,
 ) -> int:
-    """A guess at the minimal certified cutoff of certified_upper_cutoff.
+    """A guess at the distance j of the nearest certified cutoff on ``side``.
 
-    Newton's method in the index x = cut + 1 of the first discarded term, on
-    phi(x) = log(t(x)/(1 - r(x))) - log(tol), whose root the cutoff sits
-    next to, with digamma(x + 1) ~ log(x + 1/2) in the slope and the ratio
-    term left out of it.  Below lam = 1 a first step from x = 1, where
-    lgamma(2) = 0 and digamma(2) is exact, costs one logarithm and is the
-    guess when it settles (:func:`_settled`).  Otherwise Newton starts from
-    the smaller of where that step ends and the Bernstein edge lam + e/3 +
-    sqrt(e^2/9 + 2 lam e), e the envelope's excess over tol near the mean
-    (both lie beyond the root when the ratio term is small), and takes up
-    to two steps, stopping once one settles, the ratio reaches 1 or the
-    slope turns nonnegative.  The guess is rounded down by half an index,
-    so an estimate within half an index of the root lands on K or K - 1,
-    from either of which the search makes two tests.  Below lam = 1e-8 the
-    guess is the mean itself.
+    Newton's method in the first discarded index x on
+    phi(x) = log(t(x)/(1 - rho(x))) - log(tol), with digamma(x + 1) ~
+    log(x + 1/2) in the slope and the ratio term left out of it, from an
+    edge of the law (e the envelope's excess over tol near the mean):
+    Bernstein's lam + e/3 + sqrt(e^2/9 + 2 lam e) plus one index above the
+    mean, the sub-Gaussian lam - sqrt(2 lam e) below it.  Up to two steps,
+    stopping once the ratio reaches 1 or phi stops falling outward, and above
+    the mean once a step settles (:func:`_settled`; below the mean that
+    stop cost more tests than it saved).  Rounded inward by half an index,
+    an estimate within half an index of the root lands on j or j - 1, from
+    either of which the search makes two tests.  Below lam = 1 the head is
+    index 0 alone, and the tail's first step, from x = 1 where lgamma(2) = 0
+    and digamma(2) is exact, is the guess when it settles, else the start if
+    it is nearer than the edge; below lam = 1e-8 the guess is j = 0.
     """
-    if lam < _SEARCH_FROM_MEAN:
-        return 1  # ceil(lam), the first index past the mean
-    x = math.inf
+    start = math.inf
     if lam < 1.0:
+        if side < 0 or lam < _SEARCH_FROM_MEAN:
+            return 0
         d = offset + 1.0 - lam
         slope = log_lam - _DIGAMMA_2 + q / d
         if slope < 0.0:
             step = (log_scale + log_lam - lam + q * math.log(d) - log_tol) / slope
-            x = 1.0 - step
-            if _settled(x, step, slope, lam, q, offset):
-                return math.ceil(x - 1.5)
+            start = 1.0 - step
+            if _settled(start, step, slope, lam, q, offset):
+                return math.ceil(start - 2.5)
     e = _envelope_excess(lam, q, log_tol, offset, log_scale)
-    x = min(x, lam + e / 3.0 + math.sqrt(e * e / 9.0 + 2.0 * lam * e) + 1.0)
+    if side > 0:
+        x = min(start, lam + e / 3.0 + math.sqrt(e * e / 9.0 + 2.0 * lam * e) + 1.0)
+    else:
+        x = lam - math.sqrt(2.0 * lam * e)
     for _ in range(2):
-        d = offset + x - lam
-        log_ratio = log_lam - math.log(x + 1.0) + q * math.log1p(1.0 / d)
-        slope = log_lam - math.log(x + 0.5) + q / d
-        if log_ratio >= 0.0 or slope >= 0.0:
+        d = offset + side * (x - lam)
+        if x <= 0.0 or d <= 0.0:
+            break
+        log_ratio = side * (log_lam - math.log(x + (side > 0))) + q * math.log1p(1.0 / d)
+        slope = log_lam - math.log(x + 0.5) + side * q / d
+        if log_ratio >= 0.0 or side * slope >= 0.0:
             break
         log_term = log_scale + x * log_lam - lam - math.lgamma(x + 1.0) + q * math.log(d)
         step = (log_term - math.log(-math.expm1(log_ratio)) - log_tol) / slope
         x -= step
-        if _settled(x, step, slope, lam, q, offset):
+        if side > 0 and _settled(x, step, slope, lam, q, offset):
             break
-    return math.ceil(x - 1.5)
+    return math.ceil(side * (x - math.ceil(lam)) - 1.5)
 
 
-def _lower_guess(
-    lam: float, log_lam: float, q: float, log_tol: float, offset: float, log_scale: float
-) -> int:
-    """A guess at the maximal certified cutoff of certified_lower_cutoff.
+def _first_passing(
+    side: int, hi: int, lam: float, log_lam: float, q: float, log_tol: float, offset: float,
+    log_scale: float,
+) -> int | None:
+    """Smallest distance j in [0, hi] that :func:`_certified` passes on
+    ``side``, a test that stays passed further out; None when j = hi fails.
 
-    Starts at the sub-Gaussian edge x = lam - sqrt(2 lam e), in the index
-    x = L - 1 of the last discarded term, and takes up to two Newton steps on
-    the log of the certified head t(x)/(1 - s(x)) over tol, the mirror of
-    :func:`_upper_guess`, rounded up by half an index.
+    Exponential search from :func:`_guess` (clamped into [0, hi]) with
+    strides 1, 2, 4, ...: inward while the test passes, outward while it
+    fails.  Bisection then closes the last stride: O(log |j - guess|) tests,
+    and two when the guess is j or j - 1.
     """
-    e = _envelope_excess(lam, q, log_tol, offset, log_scale)
-    x = lam - math.sqrt(2.0 * lam * e)
-    for _ in range(2):
-        d = offset + lam - x
-        if x <= 0.0 or d <= 0.0:
-            break
-        log_ratio = math.log(x) - log_lam + q * math.log1p(1.0 / d)
-        slope = log_lam - math.log(x + 0.5) - q / d
-        if log_ratio >= 0.0 or slope <= 0.0:
-            break
-        log_term = log_scale + x * log_lam - lam - math.lgamma(x + 1.0) + q * math.log(d)
-        x -= (log_term - math.log(-math.expm1(log_ratio)) - log_tol) / slope
-    return math.floor(max(x, 0.0) + 0.5) + 1
+
+    def passes(j: int) -> bool:
+        return _certified(side, j, lam, log_lam, q, log_tol, offset, log_scale)
+
+    if hi < 0:
+        return None
+    j = _guess(side, lam, log_lam, q, log_tol, offset, log_scale)
+    j = 0 if j < 0 else hi if j > hi else j
+    step = 1
+    if passes(j):
+        failed, found = -1, j
+        while found > 0:
+            j = found - step if found - step > 0 else 0
+            if not passes(j):
+                failed = j
+                break
+            found, step = j, 2 * step
+    else:
+        failed = j
+        while True:
+            if failed >= hi:
+                return None
+            j = failed + step if failed + step < hi else hi
+            if passes(j):
+                found = j
+                break
+            failed, step = j, 2 * step
+    while found - failed > 1:
+        mid = (failed + found) // 2
+        if passes(mid):
+            found = mid
+        else:
+            failed = mid
+    return found
 
 
 def certified_upper_cutoff(
@@ -278,22 +263,15 @@ def certified_upper_cutoff(
     t(k) = scale * pmf(k; lam) * (offset + k - lam)^q.  Above the mean the
     ratio r(k) = t(k+1)/t(k) = lam/(k+1) * (1 + 1/(offset + k - lam))^q
     decreases, so once r(k) < 1 the tail from k is at most t(k)/(1 - r(k)),
-    and that test, once passed, passes at every larger K.  The search starts
-    at a closed-form guess (:func:`_upper_guess`) and walks outward from it,
-    so the guess sets only how many tests are made, never K.
+    and that test, once passed, passes at every larger K.
     """
-    log_tol, log_lam = math.log(tol), math.log(lam)
-
-    def passes(cut: int) -> bool:
-        return _tail_certified(cut, lam, log_lam, q, log_tol, offset, log_scale)
-
-    guess = _upper_guess(lam, log_lam, q, log_tol, offset, log_scale)
-    cutoff = _first_passing(passes, math.ceil(lam), max_terms, guess)
-    if cutoff is None:
+    top = math.ceil(lam)
+    j = _first_passing(1, max_terms - top, lam, math.log(lam), q, math.log(tol), offset, log_scale)
+    if j is None:
         raise TailNotConverged(
             f"no certified cutoff below max_terms={max_terms} for lam={lam}, q={q}"
         )
-    return cutoff
+    return top + j
 
 
 def certified_lower_cutoff(
@@ -307,21 +285,40 @@ def certified_lower_cutoff(
     decreases as k does, so the head below L is at most
     t(L-1)/(1 - s(L-1)) once s(L-1) < 1, and that test, once passed, passes
     at every smaller L.  Returns 0 at once when t(0) alone exceeds ``tol``,
-    which at small lam costs one term and no search; otherwise the search
-    walks outward from :func:`_lower_guess`, which sets only how many tests
-    are made, never L.
+    which at small lam costs one term and no search.
     """
     log_tol = math.log(tol)
     if _log_term(0.0, lam, 0.0, offset, q, log_scale) > log_tol:  # log(lam) drops out at k = 0
         return 0
-    log_lam = math.log(lam)
-    top = math.ceil(lam) - 1  # the largest index below the mean
+    top = math.ceil(lam)  # t(0) <= tol, so the search ends by j = top - 1, at k = 0
+    return top - _first_passing(-1, top - 1, lam, math.log(lam), q, log_tol, offset, log_scale)
 
-    def passes(depth: int) -> bool:
-        return _head_certified(top - depth, lam, log_lam, q, log_tol, offset, log_scale)
 
-    guess = _lower_guess(lam, log_lam, q, log_tol, offset, log_scale)
-    return top - _first_passing(passes, 0, top, top - guess + 1) + 1
+def _certified_window(
+    lam: float, q: float, q_min: float | None, tol: float, max_terms: int, offset: float,
+    log_u: float,
+) -> tuple[int, int]:
+    """The window [L, K] of an atom's Poisson counts whose discarded sides
+    each hold at most ``tol`` of the envelope |u|^r pmf(k) (offset + |k - lam|)^r
+    at every exponent r in [q_min, q] (q_min None means q), log_u = log|u|.
+
+    For a fixed window the certified bound t(k)/(1 - rho(k)) on a side is
+    log-convex in r: log t and log rho are linear in r, and -log(1 - e^x)
+    is convex and increasing.  So its two end values bound it in between,
+    and the window is the wider of those certified at q_min and at q.  It
+    is certified at q, then tested once at q_min; the search at q_min runs
+    only on a side that test fails, where it widens.
+    """
+    lo = certified_lower_cutoff(lam, q, tol, offset, q * log_u)
+    hi = certified_upper_cutoff(lam, q, tol, max_terms, offset, q * log_u)
+    if q_min not in (None, q):
+        top = math.ceil(lam)
+        at_q_min = (lam, math.log(lam), q_min, math.log(tol), offset, q_min * log_u)
+        if lo > 0 and not _certified(-1, top - lo, *at_q_min):
+            lo = certified_lower_cutoff(lam, q_min, tol, offset, q_min * log_u)
+        if not _certified(1, hi - top, *at_q_min):
+            hi = certified_upper_cutoff(lam, q_min, tol, max_terms, offset, q_min * log_u)
+    return lo, hi
 
 
 def poisson_central_moment_even(lam: float, n: int) -> float:

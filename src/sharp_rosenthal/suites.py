@@ -99,7 +99,6 @@ def tightness_suite(
     B: float = 1.0,
     powers: range = range(4, 13),
     gap_budget: float = 0.02,
-    cfg: SeriesConfig = DEFAULT_CONFIG,
 ) -> list[CaseReport]:
     """Near-extremal array moments climbing to the even-p bound.
 
@@ -111,7 +110,7 @@ def tightness_suite(
     out = []
     for k in powers:
         n = 2**k
-        moment = accompanying_sequence_moment(float(p), A, B, n, cfg)
+        moment = accompanying_sequence_moment(float(p), A, B, n)
         gap = bound - moment
         gaps.append(gap)
         status = "pass" if moment <= bound + 1e-10 * bound else "fail"

@@ -284,24 +284,39 @@ def solve_accompanying(
     return AccompanyingParams(kappa, gamma, n)
 
 
-def _binomial_weights(n: int, pi: float) -> np.ndarray:
-    """Binomial(n, pi) probabilities for k = 0..n up to one common factor.
+def _products_until_underflow(factor, ks: range) -> np.ndarray:
+    """The running products factor(k_1), factor(k_1) factor(k_2), ... over
+    ``ks`` in order, multiplied one at a time as np.cumprod does, ending
+    before the first that underflows to 0.  Blocks of 64, 128, ... factors
+    keep the arrays near the products' length rather than len(ks)."""
+    out, last, start, size = [], 1.0, 0, 64
+    while start < len(ks):
+        block = factor(np.asarray(ks[start : start + size], dtype=float))
+        products = np.cumprod(np.concatenate(([last], block)))[1:]
+        zeros = np.flatnonzero(products == 0.0)
+        if zeros.size:
+            out.append(products[: zeros[0]])
+            break
+        out.append(products)
+        last, start, size = products[-1], start + size, 2 * size
+    return np.concatenate(out) if out else np.empty(0)
+
+
+def _binomial_weights(n: int, pi: float) -> tuple[int, np.ndarray]:
+    """Binomial(n, pi) probabilities up to one common factor over the indices
+    k = first, first + 1, ... whose weight does not underflow; returns
+    (first, weights).
 
     The ratios pmf(k+1)/pmf(k) = (n-k)/(k+1) * pi/(1-pi) are multiplied out
     from the mode, whose weight is 1, so a weight |k - mode| steps out
     carries about that many roundings.  Log-factorials from gammaln would
     instead carry an absolute error near n log(n) eps in every exponent.
     """
-    ks = np.arange(n + 1, dtype=float)
     mode = min(int((n + 1) * pi), n)
     odds = pi / (1.0 - pi)
-    weights = np.empty(n + 1)
-    weights[mode] = 1.0
-    up = ks[mode:n]
-    weights[mode + 1 :] = np.cumprod((n - up) / (up + 1.0) * odds)
-    down = ks[mode:0:-1]
-    weights[:mode] = np.cumprod(down / (n - down + 1.0) / odds)[::-1]
-    return weights
+    up = _products_until_underflow(lambda k: (n - k) / (k + 1.0) * odds, range(mode, n))
+    down = _products_until_underflow(lambda k: k / (n - k + 1.0) / odds, range(mode, 0, -1))
+    return mode - down.size, np.concatenate((down[::-1], [1.0], up))
 
 
 def _accompanying_array(p: float, A: float, B: float, n: int):
@@ -316,19 +331,14 @@ def _accompanying_array(p: float, A: float, B: float, n: int):
     lc = solve_lambda_c(p, A, B)
     params = solve_accompanying(LevyVarianceMeasure([(lc.c, lc.lam)]), n, p, A, B)
     pi = params.kappa * lc.lam / n
-    weights = _binomial_weights(n, pi)
-    live = np.flatnonzero(weights)
-    first, last = int(live[0]), int(live[-1])
-    weights = weights[first : last + 1]
-    ks = np.arange(first, last + 1, dtype=float)
+    first, weights = _binomial_weights(n, pi)
+    ks = np.arange(first, first + weights.size, dtype=float)
     values = np.abs(params.gamma * lc.c * (ks - n * pi)) ** p
     moment = math.fsum((weights * values).tolist()) / math.fsum(weights.tolist())
     return lc, params, moment
 
 
-def accompanying_sequence_moment(
-    p: float, A: float, B: float, n: int, cfg: SeriesConfig = DEFAULT_CONFIG
-) -> float:
+def accompanying_sequence_moment(p: float, A: float, B: float, n: int) -> float:
     """E|S_n|^p for the near-extremal array at size n, by exact binomial sum.
 
     With G = lam*delta_c the array sum is S_n = gamma*c*(K - kappa*lam) for

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -273,9 +274,9 @@ class TestQPoint:
         assert q_point_from_c(5.0, 1.0, 1.0, 2.0, 3.0) is None
 
     def test_clamped_point_leaves_family(self):
-        # at p = 6.6 the cell (c1, c2) = (-100, -1.668) solves to lambda1 of
-        # about -1e-13, which carries a macroscopic share of A: clamping it to
-        # 0 breaks the A constraint, so the cell is infeasible
+        # at p = 6.6 the cell (c1, c2) = (-100, -1.668) used to solve to a
+        # lambda1 of about -1e-13, which carries a macroscopic share of A; both
+        # scales lie above c = 1, so the cell is infeasible
         c1, c2 = scan_axis(1.0, 20)[[0, 4]]
         assert q_point_from_c(6.6, 1.0, 1.0, float(c1), float(c2)) is None
         for c1 in scan_axis(1.0, 20):
@@ -283,6 +284,40 @@ class TestQPoint:
                 if abs(c1) != abs(c2):
                     point = q_point_from_c(6.6, 1.0, 1.0, float(c1), float(c2))
                     assert point is None or point.satisfies(6.6, 1.0, 1.0)
+
+    def test_weights_against_mpmath(self):
+        # over scan grids at random (p, A, B): a cell is feasible exactly when
+        # c lies between its scales, and each atom's share of B and of A,
+        # c_i^2 lambda_i / B and |c_i|^p lambda_i / A, is within a few ulps of
+        # the 50-digit solution of the same system
+        rng = np.random.default_rng(8)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for _ in range(12):
+                p = float(rng.uniform(5.0, 8.0))
+                A, B = (float(10 ** rng.uniform(-1.0, 1.0)) for _ in range(2))
+                c = solve_lambda_c(p, A, B).c
+                a, b = mpmath.mpf(A), mpmath.mpf(B)
+                axis = scan_axis(c, 20).tolist()
+                for c1 in axis:
+                    for c2 in axis:
+                        if abs(c1) == abs(c2):
+                            continue
+                        point = q_point_from_c(p, A, B, c1, c2)
+                        feasible = min(abs(c1), abs(c2)) <= c <= max(abs(c1), abs(c2))
+                        assert (point is not None) == feasible, (p, A, B, c1, c2)
+                        if point is None:
+                            continue
+                        a1, a2 = (abs(mpmath.mpf(x)) ** (mpmath.mpf(p) - 2) for x in (c1, c2))
+                        exact = ((a2 * b - a) / (a2 - a1), (a1 * b - a) / (a1 - a2))
+                        lams = (point.lambda1, point.lambda2)
+                        for x, lam, w, scale in zip((c1, c2), lams, exact, (a1, a2)):
+                            worst = max(
+                                worst,
+                                abs(x * x * lam - w) / b,
+                                abs(abs(x) ** p * lam - scale * w) / a,
+                            )
+        assert worst <= 6.0 * np.finfo(float).eps
 
     def test_singular(self):
         with pytest.raises(SingularSystem):
@@ -312,6 +347,19 @@ class TestQScan:
         result = q_scan(6.6, 6.6, 1.0, 1.0)
         reference = exact_bound(6.6, 6.6, 1.0, 1.0).value
         assert result.best_value == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("X", [D0, DiscreteRV([(-1.2, 0.3), (0.3, 0.4), (0.8, 0.3)])])
+    def test_swapped_cells_agree(self, X):
+        # (c1, c2) and (c2, c1) are the same law: same status, same value bit
+        # for bit
+        result = q_scan(7.5, 6.5, 1.0, 1.0, X)
+        cells = {(cell.c1, cell.c2): cell for cell in result.cells}
+        for (c1, c2), cell in cells.items():
+            other = cells[(c2, c1)]
+            assert cell.status == other.status, (c1, c2)
+            if cell.status == "evaluated":
+                assert cell.value == other.value, (c1, c2)
+        assert result.counts() == {"singular": 40, "infeasible": 128, "evaluated": 232}
 
     def test_low_regime_approach_from_below(self):
         result = q_scan(2.5, 2.5, 1.0, 1.0, grid=8)

@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate, stats
 
 from conftest import brute_poisson_abs_central, brute_skellam_abs
+from sharp_rosenthal import poisson
 from sharp_rosenthal.compound import CompoundLaw, cp_abs_moment_series, cp_part_moment_series
 from sharp_rosenthal.errors import TailNotConverged
 from sharp_rosenthal.measures import LevyVarianceMeasure
@@ -301,6 +302,36 @@ class TestCutoffSearch:
             assert lo == 0 or head_passes(lo - 1, *case), case
             assert lo == math.ceil(lam) or not head_passes(lo, *case), case
             assert lo == bisect_lower(*case), case
+
+    def test_ratio_tests_per_cutoff_do_not_grow(self, monkeypatch):
+        # 20 000 seeded cutoffs on each side.  The bounds are what the
+        # earlier head and tail searches, one written per side, made on the
+        # same draws: 34 675 ratio tests above the mean, at most 12 for one
+        # cutoff, and 9 434 below it, at most 10
+        calls = [0]
+        certified = poisson._certified
+
+        def counted(*args):
+            calls[0] += 1
+            return certified(*args)
+
+        monkeypatch.setattr(poisson, "_certified", counted)
+        rng = np.random.default_rng(14)
+        upper, lower = [], []
+        for _ in range(20_000):
+            lam = float(10 ** rng.uniform(-12.0, 4.0))
+            q = float(rng.uniform(0.5, 8.7))
+            tol = float(10 ** rng.uniform(-16.0, -8.0))
+            offset = float(rng.choice((0.0, 0.5, 3.0, 40.0)))
+            log_scale = float(rng.uniform(-5.0, 5.0))
+            calls[0] = 0
+            certified_upper_cutoff(lam, q, tol, 10**6, offset, log_scale)
+            upper.append(calls[0])
+            calls[0] = 0
+            certified_lower_cutoff(lam, q, tol, offset, log_scale)
+            lower.append(calls[0])
+        assert sum(upper) <= 34_675 and max(upper) <= 12
+        assert sum(lower) <= 9_434 and max(lower) <= 10
 
 
 def mp_abs_moment(mean: float, sd: float, q: float) -> mpmath.mpf:

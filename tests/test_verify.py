@@ -1,6 +1,7 @@
 """Brute-force verifier: exact sums, domination, and the tightness array."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,17 @@ class TestAccompanyingSequenceMoment:
         # at A = B = 1; log-factorial pmfs lose n log(n) eps and miss by 1.4e-9 at 2^21
         exact = 4.0 - 3.0 / n
         assert abs(accompanying_sequence_moment(4.0, 1.0, 1.0, n) - exact) <= 1e-14 * exact
+
+    def test_memory_stays_near_live_weights(self):
+        # at n = 2^21, pi ~ 1/n, 178 binomial weights are nonzero; arrays of
+        # length n + 1 would peak near 67 MB
+        tracemalloc.start()
+        try:
+            accompanying_sequence_moment(4.0, 1.0, 1.0, 2**21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_n_trend_p4(self):
         bound = even_p_bound(4, 1.0, 1.0).value

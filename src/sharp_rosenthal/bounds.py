@@ -130,10 +130,30 @@ def solve_lambda_c(p: float, A: float, B: float) -> LambdaC:
     return LambdaC(lam, c)
 
 
-def _sign_tag(v_plus: float, v_minus: float, tol: float) -> str:
-    if abs(v_plus - v_minus) <= tol:
-        return "both"
-    return "plus" if v_plus > v_minus else "minus"
+def _extremal(
+    regime: str,
+    certificate: LambdaC | Tuple[LambdaC, LambdaC],
+    measures: Sequence[Sequence[Tuple[float, float]]],
+    X: DiscreteRV,
+    q: float,
+    cfg: SeriesConfig,
+) -> BoundResult:
+    """The largest E|X + Y_H|^q over the extremal Levy measures H, each given
+    as its (location, weight) atoms, one series per measure.
+
+    With two measures, ``achieved_sign`` is "plus" when the first attains the
+    maximum and "minus" when the second does, unless the two agree within
+    the error budget; one measure is always "both".
+    """
+    values = [
+        cp_abs_moment(CompoundLaw(0.0, X, LevyVarianceMeasure(atoms)), q, cfg) for atoms in measures
+    ]
+    value = max(values)
+    budget = _budget(value, cfg, n_series=len(measures))
+    sign = "both"
+    if len(values) == 2 and abs(values[0] - values[1]) > budget:
+        sign = "plus" if values[0] > values[1] else "minus"
+    return BoundResult(value, regime, certificate, sign, budget)
 
 
 def exact_bound(
@@ -158,13 +178,7 @@ def exact_bound(
     if p >= 5.0 and 5.0 <= q <= p:
         require_zero_mean(X)
         lc = solve_lambda_c(p, A, B)
-        law_plus = CompoundLaw(0.0, X, LevyVarianceMeasure([(lc.c, B)]))
-        law_minus = CompoundLaw(0.0, X, LevyVarianceMeasure([(-lc.c, B)]))
-        v_plus = cp_abs_moment(law_plus, q, cfg)
-        v_minus = cp_abs_moment(law_minus, q, cfg)
-        value = max(v_plus, v_minus)
-        budget = _budget(value, cfg, n_series=2)
-        return BoundResult(value, REGIME_P_GE_5, lc, _sign_tag(v_plus, v_minus, budget), budget)
+        return _extremal(REGIME_P_GE_5, lc, [[(lc.c, B)], [(-lc.c, B)]], X, q, cfg)
     if 2.0 < p <= 3.0:
         if q != p:
             raise UnsupportedExponents(
@@ -217,10 +231,7 @@ def symmetric_bound(
         raise UnsupportedExponents(f"symmetric bound needs p >= q >= 5, got p={p}, q={q}")
     require_zero_mean(X)
     lc = solve_lambda_c(p, A, B)
-    levy = LevyVarianceMeasure([(lc.c, B / 2.0), (-lc.c, B / 2.0)])
-    value = cp_abs_moment(CompoundLaw(0.0, X, levy), q, cfg)
-    budget = _budget(value, cfg, n_series=1)
-    return BoundResult(value, REGIME_SYMMETRIC, lc, "both", budget)
+    return _extremal(REGIME_SYMMETRIC, lc, [[(lc.c, B / 2.0), (-lc.c, B / 2.0)]], X, q, cfg)
 
 
 def combined_bound(
@@ -245,21 +256,9 @@ def combined_bound(
     require_zero_mean(X)
     lc0 = solve_lambda_c(p, A0, B0)
     lc1 = solve_lambda_c(p, A1, B1)
-    values = {}
-    for sign in (1.0, -1.0):
-        levy = LevyVarianceMeasure(
-            [(lc0.c, B0 / 2.0), (-lc0.c, B0 / 2.0), (sign * lc1.c, B1)]
-        )
-        values[sign] = cp_abs_moment(CompoundLaw(0.0, X, levy), q, cfg)
-    value = max(values.values())
-    budget = _budget(value, cfg, n_series=2)
-    return BoundResult(
-        value,
-        REGIME_COMBINED,
-        (lc0, lc1),
-        _sign_tag(values[1.0], values[-1.0], budget),
-        budget,
-    )
+    symmetric = [(lc0.c, B0 / 2.0), (-lc0.c, B0 / 2.0)]
+    measures = [symmetric + [(lc1.c, B1)], symmetric + [(-lc1.c, B1)]]
+    return _extremal(REGIME_COMBINED, (lc0, lc1), measures, X, q, cfg)
 
 
 def classical_rosenthal_constant(p: float) -> float:
@@ -395,8 +394,7 @@ def q_scan(
     if X is None:
         X = DiscreteRV.delta(0.0)
     reference = exact_bound(p, q, A, B, X, cfg)
-    lc = solve_lambda_c(p, A, B)
-    axis = scan_axis(lc.c, grid).tolist()  # the cells share these float objects
+    axis = scan_axis(reference.certificate.c, grid).tolist()  # the cells share these float objects
     allow = reference.value + 1e-8 * max(1.0, reference.value) + reference.error_budget
     cells: list[ScanCell] = []
     best_point: Optional[QPoint] = None

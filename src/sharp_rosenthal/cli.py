@@ -151,8 +151,7 @@ def _cmd_verify(args) -> int:
         reports = qscan_suite(args.p, _q(args), args.A, args.B, args.grid, cfg)
     failed = 0
     for report in reports:
-        rec = report.to_json_dict()
-        print(json.dumps({k: fmt(v) if isinstance(v, float) else v for k, v in rec.items()}))
+        _emit_record(report.to_json_dict(), "json")
         if report.status == "fail":
             failed += 1
     return EXIT_CASE_FAILED if failed else EXIT_OK
@@ -181,17 +180,9 @@ def _cmd_limit(args) -> int:
     c2s = _parse_values(args.c2)
     result = bnd.limit_compound(args.p, _q(args), args.A, args.B, args.b, args.a, c2s, X, cfg)
     for entry in result.entries:
-        print(
-            json.dumps(
-                {
-                    "c2": fmt(entry.c2),
-                    "moment": fmt(entry.moment),
-                    "gap": fmt(entry.gap),
-                    "limit_value": fmt(result.limit_value),
-                }
-            )
-        )
-    print(json.dumps({"gaps_decreasing": result.gaps_decreasing}))
+        record = {"c2": entry.c2, "moment": entry.moment, "gap": entry.gap}
+        _emit_record({**record, "limit_value": result.limit_value}, "json")
+    _emit_record({"gaps_decreasing": result.gaps_decreasing}, "json")
     return EXIT_OK
 
 

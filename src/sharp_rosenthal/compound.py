@@ -9,10 +9,12 @@ scaled centered Poisson u*(Pi_lam - lam) with lam = w/u^2.
 The *series* engine composes truncated Poisson grids (certified Minkowski
 envelopes bound each discarded tail) and weights the residual means with the
 closed-form Gaussian moment.  One kernel, ``_expect``, computes every series
-moment -- absolute, positive and negative parts, and the shifted moments of
-:class:`ShiftedMomentEvaluator` -- over rows of residual means, one Gaussian
-call per grid or per block of shifts.  The
-*contour* engine evaluates the Fourier-Laplace identity
+moment -- absolute, positive and negative parts -- for a row of shifts of
+one certified grid, one Gaussian call per block of shifts; a single moment
+is the unshifted row.  The variations of :mod:`.variation` call it
+directly, so :class:`ShiftedMomentEvaluator`, a thin shell over the same
+grid and kernel, has no caller in the program.  The *contour* engine
+evaluates the Fourier-Laplace identity
     E (x0+X+Y_H)_+^q = Gamma(q+1)/(2*pi*i) int_{Re z=sigma} dz z^{-(q+1)} M(z)
 on the vertical line Re z = sigma > 0 with the principal branch of z^{q+1};
 the negative part uses the reflection -Y_H =_D Y_{H^-}.  The identity holds
@@ -274,35 +276,47 @@ def _moment_grid(
     return grid
 
 
-def _expect(grid: _LawGrid, q: float, kind: str, pts: np.ndarray) -> np.ndarray:
-    """sum_j p_j E f(pts[i, j] + sd Z) for each row i of ``pts``.
+def _expect(
+    grid: _LawGrid, q: float, kind: str, shifts: np.ndarray | None = None
+) -> np.ndarray:
+    """sum_j p_j E f(x + v_j + sd Z) for each shift x of a 1-D array.
 
     ``kind`` selects f among |.|^q ("abs"), (.)_+^q ("pos"), (.)_-^q ("neg");
-    column j of ``pts`` is a residual mean of grid point j, p_j its weight.
+    v_j is the residual mean of grid point j and p_j its weight.  ``None``
+    is the single unshifted row, summed over the v_j themselves.  Shifts run
+    in blocks of at most 2^23 shift x grid points, one Gaussian call per
+    block.
     """
-    if grid.sd > 0.0:
-        if kind == "abs":
-            moments = gaussian_abs_moment(pts, grid.sd, q)
-        else:
-            side = "positive" if kind == "pos" else "negative"
-            moments = gaussian_part_moment(pts, grid.sd, q, side)
-        return np.array([math.fsum(row.tolist()) for row in moments * grid.probs])
-    if kind == "abs":
-        weights = np.abs(pts) ** q
-    elif kind == "pos":
-        weights = np.clip(pts, 0.0, None) ** q
+    if shifts is None:
+        blocks = (grid.values[None, :],)
     else:
-        weights = np.clip(-pts, 0.0, None) ** q
-    if len(weights) == 1:
+        size = max(1, (1 << 23) // max(1, grid.values.size))
+        blocks = (shifts[i : i + size, None] + grid.values for i in range(0, shifts.size, size))
+    sums = []
+    for pts in blocks:
+        if grid.sd > 0.0:
+            if kind == "abs":
+                moments = gaussian_abs_moment(pts, grid.sd, q)
+            else:
+                side = "positive" if kind == "pos" else "negative"
+                moments = gaussian_part_moment(pts, grid.sd, q, side)
+            sums.append(np.array([math.fsum(row.tolist()) for row in moments * grid.probs]))
+            continue
+        if kind == "abs":
+            weights = np.abs(pts) ** q
+        elif kind == "pos":
+            weights = np.clip(pts, 0.0, None) ** q
+        else:
+            weights = np.clip(-pts, 0.0, None) ** q
         # a (1, n) matmul goes to multithreaded BLAS gemv, which can stall
-        return np.array([np.dot(weights[0], grid.probs)])
-    return weights @ grid.probs
+        sums.append(np.dot(weights[0], grid.probs)[None] if len(weights) == 1 else weights @ grid.probs)
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
 def cp_abs_moment_series(law: CompoundLaw, q: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """E|x0 + X + Y_H|^q by nested certified summation."""
     grid = _moment_grid(law, q, cfg)
-    return float(_expect(grid, q, "abs", grid.values[None, :])[0])
+    return float(_expect(grid, q, "abs")[0])
 
 
 def cp_part_moment_series(
@@ -313,27 +327,16 @@ def cp_part_moment_series(
     if side not in kinds:
         raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
     grid = _moment_grid(law, q, cfg)
-    return float(_expect(grid, q, kinds[side], grid.values[None, :])[0])
-
-
-def _shifted_expect(grid: _LawGrid, q: float, kind: str, shifts: np.ndarray) -> np.ndarray:
-    """sum_j p_j E f(shift + values_j + sd Z) for each shift of a 1-D array,
-    by ``_expect`` over blocks of at most 2^23 shift x grid points."""
-    block = max(1, (1 << 23) // max(1, grid.values.size))
-    if shifts.size <= block:
-        return _expect(grid, q, kind, shifts[:, None] + grid.values[None, :])
-    out = np.empty(shifts.size)
-    for start in range(0, shifts.size, block):
-        rows = slice(start, start + block)
-        out[rows] = _expect(grid, q, kind, shifts[rows, None] + grid.values[None, :])
-    return out
+    return float(_expect(grid, q, kinds[side])[0])
 
 
 class ShiftedMomentEvaluator:
     """E f(shift + x0 + X + Y_H) for many shifts sharing one certified grid.
 
     ``kind`` selects f among |.|^q ("abs"), (.)_+^q ("pos"), (.)_-^q ("neg").
-    The grid is certified uniformly over |shift| <= shift_bound.
+    The grid is certified uniformly over |shift| <= shift_bound.  A shell
+    over ``_moment_grid`` and ``_expect`` that checks each shift against
+    the bound.
     """
 
     def __init__(
@@ -355,13 +358,11 @@ class ShiftedMomentEvaluator:
         shifts = np.asarray(shifts, dtype=float)
         if shifts.size == 0:
             return np.zeros(0)
-        # a Python max: np.max costs several times more on the usual few shifts
-        flat = shifts.ravel().tolist()
-        peak = max(map(abs, flat))
-        # np.max is NaN, and so never out of bound, once any shift is NaN
-        if peak > self.shift_bound * (1.0 + 1e-12) and not any(map(math.isnan, flat)):
+        peak = np.max(np.abs(shifts))
+        # NaN compares False, so a NaN shift is never out of bound
+        if peak > self.shift_bound * (1.0 + 1e-12):
             raise ValueError(f"shift {peak} exceeds certified bound {self.shift_bound}")
-        return _shifted_expect(self._grid, self.q, self.kind, shifts)
+        return _expect(self._grid, self.q, self.kind, shifts)
 
 
 def _log_mgf(law: CompoundLaw, sigma: float) -> tuple[float, float]:

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import even_p_bound, q_scan
+from .bounds import even_p_bound, q_scan, solve_lambda_c
 from .errors import InfeasiblePath
 from .measures import DiscreteRV, SignedAtomMeasure, LevyVarianceMeasure
 from .poisson import DEFAULT_CONFIG, SeriesConfig
@@ -164,6 +164,16 @@ def random_variation_case(seed: int, order: int = 1):
     return path, q, X
 
 
+def _central_first(f) -> float:
+    """Richardson-extrapolated central first difference of f at 0, with the
+    steps FD_STEPS_FIRST."""
+    h1, h2 = FD_STEPS_FIRST
+    d1 = (f(h1) - f(-h1)) / (2.0 * h1)
+    d2 = (f(h2) - f(-h2)) / (2.0 * h2)
+    r = (h1 / h2) ** 2
+    return (r * d2 - d1) / (r - 1.0)
+
+
 def fd_first_derivative(
     path: PerturbationPath,
     q: float,
@@ -188,14 +198,11 @@ def fd_first_derivative(
     except InfeasiblePath:
         two_sided = False
     if two_sided:
-        d1 = (f(h1) - f(-h1)) / (2.0 * h1)
-        d2 = (f(h2) - f(-h2)) / (2.0 * h2)
-        r = (h1 / h2) ** 2
-    else:
-        f0 = f(0.0)
-        d1 = (f(h1) - f0) / h1
-        d2 = (f(h2) - f0) / h2
-        r = h1 / h2
+        return _central_first(f)
+    f0 = f(0.0)
+    d1 = (f(h1) - f0) / h1
+    d2 = (f(h2) - f0) / h2
+    r = h1 / h2
     return (r * d2 - d1) / (r - 1.0)
 
 
@@ -235,11 +242,7 @@ def fd_midpoint_derivative(
         return moment_along_path(path, q, X, t + dt, cfg, kind)
 
     if order == 1:
-        h1, h2 = FD_STEPS_FIRST
-        d1 = (f(h1) - f(-h1)) / (2.0 * h1)
-        d2 = (f(h2) - f(-h2)) / (2.0 * h2)
-        r = (h1 / h2) ** 2
-        return (r * d2 - d1) / (r - 1.0)
+        return _central_first(f)
     h = FD_STEP_SECOND
     center = f(0.0)
 
@@ -312,8 +315,6 @@ def qscan_suite(
     best = result.best_point
     within = result.best_value <= result.reference_bound + 1e-8 * max(1.0, result.reference_bound)
     if p >= 5.0:
-        from .bounds import solve_lambda_c
-
         c = solve_lambda_c(p, A, B).c
         at_axis = (
             abs(abs(best.c1) - c) <= 1e-12 * c

@@ -35,9 +35,8 @@ import numpy as np
 
 from .compound import (
     CompoundLaw,
-    ShiftedMomentEvaluator,
+    _expect,
     _moment_grid,
-    _shifted_expect,
     cp_abs_moment,
     cp_part_moment_series,
 )
@@ -116,7 +115,7 @@ def _direction_terms(direction: SignedAtomMeasure) -> list[tuple[float, int, flo
 
 
 def _sides(kind: str, m: int) -> list[tuple[str, float]]:
-    """f^(m) / (q(q-1)...(q-m+1)) as signed evaluator kinds at exponent q - m:
+    """f^(m) / (q(q-1)...(q-m+1)) as signed ``_expect`` kinds at exponent q - m:
     |.|^{q-m} (times sgn, i.e. pos - neg, for odd m), (.)_+^{q-m}, or
     (-1)^m (.)_-^{q-m}."""
     if kind == "abs":
@@ -182,7 +181,7 @@ def _derivative_sum(
     for m, cx in orders.items():
         cs, xs = np.array(cx).T
         for side, sign in _sides(kind, m):
-            moments = _shifted_expect(grid, q - m, side, xs)
+            moments = _expect(grid, q - m, side, xs)
             parts.extend((sign * falling[m] * cs * moments).tolist())
     return math.fsum(parts)
 
@@ -250,9 +249,9 @@ def positivity_kernel(
         raise ValueError(f"X must be zero-mean, got mean {rv_mean(X)}")
     if not H.atoms:
         raise ValueError("H must be nonzero")
-    evaluate = ShiftedMomentEvaluator(CompoundLaw(0.0, X, H), q - 4.0, abs(alpha * s), cfg)
+    grid = _moment_grid(CompoundLaw(0.0, X, H), q - 4.0, cfg, alpha * s)
     prefactor = q * (q - 1.0) * (q - 2.0) * (q - 3.0)
-    m_small, m_big = evaluate(np.array([u * alpha * s, alpha * s]))
+    m_small, m_big = _expect(grid, q - 4.0, "abs", np.array([u * alpha * s, alpha * s]))
     return float(prefactor * (m_small - u ** (p - 4.0) * m_big))
 
 

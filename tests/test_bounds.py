@@ -123,15 +123,24 @@ class TestExactBound:
         with pytest.raises(UnsupportedExponents):
             exact_bound(1.5, 1.5, 1.0, 1.0)
 
-    def test_asymmetric_background_sign(self):
+    @pytest.mark.parametrize("bound", [exact_bound, combined_bound], ids=lambda f: f.__name__)
+    def test_asymmetric_background_sign(self, bound):
+        # c = 1 at A = B = 1; combined_bound adds the Skellam part of (A0, B0)
         X = DiscreteRV.two_point_zero_mean(-0.25, 1.0)
-        result = exact_bound(5.0, 5.0, 1.0, 1.0, X)
-        law_plus = CompoundLaw(0.0, X, LevyVarianceMeasure([(1.0, 1.0)]))
-        law_minus = CompoundLaw(0.0, X, LevyVarianceMeasure([(-1.0, 1.0)]))
+        if bound is exact_bound:
+            result = exact_bound(5.0, 5.0, 1.0, 1.0, X)
+            symmetric = []
+        else:
+            result = combined_bound(5.0, 5.0, 0.5, 0.5, 1.0, 1.0, X)
+            c0 = solve_lambda_c(5.0, 0.5, 0.5).c
+            symmetric = [(c0, 0.25), (-c0, 0.25)]
+        law_plus = CompoundLaw(0.0, X, LevyVarianceMeasure(symmetric + [(1.0, 1.0)]))
+        law_minus = CompoundLaw(0.0, X, LevyVarianceMeasure(symmetric + [(-1.0, 1.0)]))
         vp = cp_abs_moment(law_plus, 5.0)
         vm = cp_abs_moment(law_minus, 5.0)
         assert result.value == pytest.approx(max(vp, vm), rel=1e-12)
-        assert result.achieved_sign in ("plus", "minus")
+        assert abs(vp - vm) > result.error_budget
+        assert result.achieved_sign == ("plus" if vp > vm else "minus")
 
     def test_homogeneity(self):
         rng = np.random.default_rng(29)

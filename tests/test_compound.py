@@ -160,6 +160,19 @@ class TestSeriesEngine:
             single = cp_abs_moment(CompoundLaw(law.x0 + s, law.background, law.levy), 3.5)
             assert single == pytest.approx(expected, rel=1e-10)
 
+    def test_evaluator_shift_bound(self):
+        law = CompoundLaw.pure(LevyVarianceMeasure([(1.0, 0.8), (0.0, 0.3)]))
+        evaluate = ShiftedMomentEvaluator(law, 4.5, 2.0)
+        evaluate(np.array([-2.0 * (1.0 + 1e-13), 0.5]))
+        with pytest.raises(ValueError, match="exceeds certified bound"):
+            evaluate(np.array([0.5, 2.0 * (1.0 + 1e-11)]))
+        with pytest.raises(ValueError, match="exceeds certified bound"):
+            evaluate(np.array([-3.0]))
+        # NaN compares False against the bound: the row is NaN, nothing raises
+        values = evaluate(np.array([0.7, math.nan, -1.0]))
+        assert math.isnan(values[1])
+        assert values[[0, 2]].tolist() == evaluate(np.array([0.7, -1.0])).tolist()
+
     def test_part_moments_decompose_and_reflect(self):
         # pos + neg = abs on one grid, and the negative part is the positive
         # part of the reflected law, with and without a Gaussian part

@@ -151,6 +151,26 @@ class TestPositivityKernel:
         v2 = positivity_kernel(0.5, 0.5, 0.5, 6.0, 5.5, D0, H1)
         assert v2 >= v1
 
+    def test_equals_difference_of_shifted_moments(self):
+        # q(q-1)(q-2)(q-3) (E|u a s + X + Y_H|^{q-4} - u^{p-4} E|a s + X + Y_H|^{q-4}),
+        # each moment from its own series on the shifted law, on criterion-9
+        # draws of H and (p, q), with X = 0 and a zero-mean two-point X
+        rng = np.random.default_rng(71)
+        pts = np.linspace(0.15, 0.95, 5)
+        for q in (5.1, 5.5, 6.0):
+            for p in (q, q + 0.7):
+                H = single_atom(
+                    float(rng.choice([-1, 1]) * rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))
+                )
+                for X in (D0, DiscreteRV.two_point_zero_mean(-0.4, 0.9)):
+                    for _ in range(4):
+                        u, alpha, s = (float(v) for v in rng.choice(pts, 3))
+                        small = cp_abs_moment(CompoundLaw(u * alpha * s, X, H), q - 4.0)
+                        big = cp_abs_moment(CompoundLaw(alpha * s, X, H), q - 4.0)
+                        expected = q * (q - 1.0) * (q - 2.0) * (q - 3.0) * (small - u ** (p - 4.0) * big)
+                        value = positivity_kernel(u, alpha, s, p, q, X, H)
+                        assert value == pytest.approx(expected, rel=1e-12)
+
     def test_positivity_grid_random_atom(self):
         rng = np.random.default_rng(13)
         u0 = float(rng.choice([-1, 1]) * rng.uniform(0.5, 2.0))

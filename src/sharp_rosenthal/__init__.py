@@ -27,7 +27,6 @@ from .measures import (
     LevyVarianceMeasure,
     SignedAtomMeasure,
     rv_abs_moment,
-    rv_center,
     rv_convolve,
     rv_mean,
 )

@@ -292,12 +292,6 @@ class QPoint:
     def weights(self) -> tuple[float, float]:
         return self.c1 * self.c1 * self.lambda1, self.c2 * self.c2 * self.lambda2
 
-    def satisfies(self, p: float, A: float, B: float, rel: float = 1e-9) -> bool:
-        w1, w2 = self.weights()
-        second = w1 + w2
-        pth = abs(self.c1) ** p * self.lambda1 + abs(self.c2) ** p * self.lambda2
-        return abs(second - B) <= rel * max(1.0, B) and abs(pth - A) <= rel * max(1.0, A)
-
 
 def q_point_from_c(p: float, A: float, B: float, c1: float, c2: float) -> Optional[QPoint]:
     """Solve the 2x2 system w1 + w2 = B, a1 w1 + a2 w2 = A, ai = |ci|^{p-2}.

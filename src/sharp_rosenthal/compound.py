@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ExponentTooSmall,
@@ -356,10 +355,13 @@ class ShiftedMomentEvaluator:
 
     def __call__(self, shifts: np.ndarray) -> np.ndarray:
         shifts = np.asarray(shifts, dtype=float)
+        if shifts.ndim != 1:
+            raise ValueError(f"shifts must be one row, got shape {shifts.shape}")
         if shifts.size == 0:
             return np.zeros(0)
-        peak = np.max(np.abs(shifts))
-        # NaN compares False, so a NaN shift is never out of bound
+        # fmax skips NaN, so a NaN shift cannot hide another shift's excess;
+        # an all-NaN row passes and evaluates to NaN
+        peak = np.fmax.reduce(np.abs(shifts))
         if peak > self.shift_bound * (1.0 + 1e-12):
             raise ValueError(f"shift {peak} exceeds certified bound {self.shift_bound}")
         return _expect(self._grid, self.q, self.kind, shifts)
@@ -397,6 +399,9 @@ def saddle_abscissa(law: CompoundLaw, q: float, tol: float) -> float | None:
 
     def negligible(sigma: float) -> bool:
         return q * math.log(q / (math.e * sigma)) + _log_mgf(law, sigma)[0] <= math.log(tol)
+
+    # imported here: scipy.optimize adds about 0.3 s to the package's import
+    from scipy.optimize import brentq
 
     lo, hi = 0.5, 1.0
     while excess(hi) < 0.0:

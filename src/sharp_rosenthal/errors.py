@@ -49,7 +49,9 @@ class SingularSystem(SharpRosenthalError):
 
 
 class NewtonDiverged(SharpRosenthalError):
-    """The accompanying-law parameters could not be solved to tolerance."""
+    """The solved accompanying-law parameters failed their residual check
+    against (B, A).  The name predates the bracketed solve that replaced
+    Newton's method."""
 
 
 class InfeasibleMass(SharpRosenthalError):

@@ -92,13 +92,6 @@ class DiscreteRV:
         """Law of -X."""
         return DiscreteRV([(-v, p) for v, p in self.atoms])
 
-    def shifted(self, offset: float) -> "DiscreteRV":
-        """Law of X + offset."""
-        return DiscreteRV([(v + offset, p) for v, p in self.atoms])
-
-    def to_json_dict(self) -> dict:
-        return {"atoms": [[v, p] for v, p in self.atoms]}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteRV":
         return cls([(float(v), float(p)) for v, p in data["atoms"]])
@@ -123,30 +116,17 @@ def rv_second_moment(x: DiscreteRV) -> float:
 def rv_convolve(x: DiscreteRV, y: DiscreteRV) -> DiscreteRV:
     """Exact law of X + Y for independent X, Y.
 
-    Atoms whose sums collide within :data:`ATOM_MERGE_TOL` are merged;
-    probabilities are renormalized only if their sum drifts from 1 by more
-    than :data:`PROB_DRIFT_TOL`, so that convolutions of dyadic inputs stay
-    exact.
+    The raw sums and products go to :class:`DiscreteRV`, whose one merge
+    joins sums that collide within :data:`ATOM_MERGE_TOL`.  The products are
+    renormalized only if their sum drifts from 1 by more than
+    :data:`PROB_DRIFT_TOL`, so that convolutions of dyadic inputs stay exact.
     """
-    xv, xp = x.values, x.probs
-    yv, yp = y.values, y.probs
-    sums = np.add.outer(xv, yv).ravel()
-    masses = np.multiply.outer(xp, yp).ravel()
-    merged = _merge_atoms(zip(sums, masses), ATOM_MERGE_TOL)
-    total = math.fsum(m for _, m in merged)
+    sums = np.add.outer(x.values, y.values).ravel()
+    masses = np.multiply.outer(x.probs, y.probs).ravel()
+    total = math.fsum(masses.tolist())
     if abs(total - 1.0) > PROB_DRIFT_TOL:
-        merged = [(v, m / total) for v, m in merged]
-    return DiscreteRV(merged)
-
-
-def rv_center(x: DiscreteRV) -> DiscreteRV:
-    """Shift all values by -E X so the result has mean 0 within 1e-12."""
-    mu = rv_mean(x)
-    centered = DiscreteRV([(v - mu, p) for v, p in x.atoms])
-    resid = rv_mean(centered)
-    if abs(resid) > 1e-12:
-        centered = DiscreteRV([(v - resid, p) for v, p in centered.atoms])
-    return centered
+        masses = masses / total
+    return DiscreteRV(zip(sums.tolist(), masses.tolist()))
 
 
 @dataclass(frozen=True)
@@ -177,14 +157,6 @@ class LevyVarianceMeasure:
     def weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms])
 
-    def total_weight(self) -> float:
-        """Integral of H: the total variance carried by the measure."""
-        return math.fsum(w for _, w in self.atoms)
-
-    def p_moment(self, p: float) -> float:
-        """Integral of |x|^{p-2} H(dx)."""
-        return math.fsum(abs(u) ** (p - 2.0) * w for u, w in self.atoms if u != 0.0)
-
     def gaussian_variance(self) -> float:
         """Weight sitting at location 0."""
         return math.fsum(w for u, w in self.atoms if u == 0.0)
@@ -192,23 +164,9 @@ class LevyVarianceMeasure:
     def nonzero_atoms(self) -> Tuple[Tuple[float, float], ...]:
         return tuple((u, w) for u, w in self.atoms if u != 0.0)
 
-    def max_abs_location(self) -> float:
-        return max((abs(u) for u, _ in self.atoms), default=0.0)
-
     def reflected(self) -> "LevyVarianceMeasure":
         """The measure H^- with H^-(du) = H(-du); governs -Y_H."""
         return LevyVarianceMeasure([(-u, w) for u, w in self.atoms])
-
-    def scaled(self, kappa: float) -> "LevyVarianceMeasure":
-        """Locations scaled by kappa, weights by kappa^2: the measure of kappa*Y_H."""
-        return LevyVarianceMeasure([(kappa * u, kappa * kappa * w) for u, w in self.atoms])
-
-    def to_json_dict(self) -> dict:
-        return {"atoms": [[u, w] for u, w in self.atoms]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LevyVarianceMeasure":
-        return cls([(float(u), float(w)) for u, w in data["atoms"]])
 
 
 @dataclass(frozen=True)
@@ -224,17 +182,3 @@ class SignedAtomMeasure:
     def __init__(self, atoms: Iterable[Tuple[float, float]] = ()):
         merged = _merge_atoms(atoms, ATOM_MERGE_TOL)
         object.__setattr__(self, "atoms", tuple((u, d) for u, d in merged if d != 0.0))
-
-    @property
-    def locations(self) -> np.ndarray:
-        return np.array([u for u, _ in self.atoms])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([d for _, d in self.atoms])
-
-    def total_variation(self) -> float:
-        return math.fsum(abs(d) for _, d in self.atoms)
-
-    def scaled(self, beta: float) -> "SignedAtomMeasure":
-        return SignedAtomMeasure([(u, beta * d) for u, d in self.atoms])

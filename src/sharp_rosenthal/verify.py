@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bounds import _budget, exact_bound, require_zero_mean, solve_lambda_c
 from .compound import MAX_NONZERO_ATOMS, CompoundLaw, cp_abs_moment
@@ -266,6 +265,9 @@ def solve_accompanying(
     lam = solve_lambda_c(p, A, B).lam
     if lam > n:
         raise InfeasibleMass(f"lambda = {lam} exceeds n = {n}; needs kappa*g/n <= 1")
+
+    # imported here: scipy.optimize adds about 0.3 s to the package's import
+    from scipy.optimize import brentq
 
     def excess(pi: float) -> float:
         h = (1.0 - pi) ** (p - 1.0) + pi ** (p - 1.0)

@@ -139,7 +139,7 @@ class TestSeriesEngine:
                 scaled = CompoundLaw(
                     kappa * law.x0,
                     DiscreteRV([(kappa * v, p) for v, p in law.background.atoms]),
-                    law.levy.scaled(kappa),
+                    LevyVarianceMeasure([(kappa * u, kappa**2 * w) for u, w in law.levy.atoms]),
                 )
                 assert cp_abs_moment(scaled, q) == pytest.approx(
                     kappa**q * cp_abs_moment(law, q), rel=1e-9
@@ -168,10 +168,22 @@ class TestSeriesEngine:
             evaluate(np.array([0.5, 2.0 * (1.0 + 1e-11)]))
         with pytest.raises(ValueError, match="exceeds certified bound"):
             evaluate(np.array([-3.0]))
-        # NaN compares False against the bound: the row is NaN, nothing raises
+        # a NaN shift evaluates to NaN and raises nothing, but does not hide
+        # another shift's excess
         values = evaluate(np.array([0.7, math.nan, -1.0]))
         assert math.isnan(values[1])
         assert values[[0, 2]].tolist() == evaluate(np.array([0.7, -1.0])).tolist()
+        assert math.isnan(evaluate(np.array([math.nan]))[0])
+        with pytest.raises(ValueError, match="exceeds certified bound"):
+            evaluate(np.array([math.nan, 10.0]))
+
+    def test_evaluator_takes_one_row(self):
+        law = CompoundLaw.pure(LevyVarianceMeasure([(1.0, 0.8), (0.0, 0.3)]))
+        evaluate = ShiftedMomentEvaluator(law, 4.5, 2.0)
+        with pytest.raises(ValueError, match=r"one row, got shape \(2, 2\)"):
+            evaluate(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"one row, got shape \(\)"):
+            evaluate(np.float64(0.5))
 
     def test_part_moments_decompose_and_reflect(self):
         # pos + neg = abs on one grid, and the negative part is the positive

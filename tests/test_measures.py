@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sharp_rosenthal.bounds import solve_lambda_c
 from sharp_rosenthal.measures import (
@@ -13,10 +11,16 @@ from sharp_rosenthal.measures import (
     LevyVarianceMeasure,
     SignedAtomMeasure,
     rv_abs_moment,
-    rv_center,
     rv_convolve,
     rv_mean,
 )
+
+
+def class_moments(h, p):
+    """(integral of H, integral of |x|^{p-2} H(dx)): the (B, A) that H meets."""
+    total = math.fsum(w for _, w in h.atoms)
+    pth = math.fsum(abs(u) ** (p - 2.0) * w for u, w in h.atoms if u != 0.0)
+    return total, pth
 
 
 class TestDiscreteRV:
@@ -50,7 +54,7 @@ class TestDiscreteRV:
 
     def test_json_round_trip(self):
         rv = DiscreteRV([(-1.5, 0.25), (0.5, 0.75)])
-        assert DiscreteRV.from_json_dict(rv.to_json_dict()) == rv
+        assert DiscreteRV.from_json_dict({"atoms": [[v, p] for v, p in rv.atoms]}) == rv
 
 
 class TestConvolve:
@@ -86,40 +90,38 @@ class TestConvolve:
             assert left.values == pytest.approx(right.values, abs=1e-12)
             assert left.probs == pytest.approx(right.probs, abs=1e-12)
 
-
-class TestCenter:
-    def test_examples(self):
-        assert rv_center(DiscreteRV([(0.0, 0.5), (2.0, 0.5)])).atoms == ((-1.0, 0.5), (1.0, 0.5))
-        assert rv_center(DiscreteRV.rademacher()) == DiscreteRV.rademacher()
-        assert rv_center(DiscreteRV([(1.0, 1.0)])).atoms == ((0.0, 1.0),)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(-50, 50, allow_nan=False),
-                st.floats(0.01, 1.0),
-            ),
-            min_size=1,
-            max_size=6,
+    def test_merge_and_renormalization(self):
+        # 0.1 + 0.2 and 0.7 - 0.4 round to neighbours of 0.3 and merge onto
+        # the smaller, the first value of their cluster
+        law = rv_convolve(
+            DiscreteRV([(0.1, 0.5), (0.7, 0.5)]), DiscreteRV([(0.2, 0.5), (-0.4, 0.5)])
         )
-    )
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_centered_mean_and_variance_identity(self, pairs):
-        total = sum(p for _, p in pairs)
-        rv = DiscreteRV([(v, p / total) for v, p in pairs])
-        centered = rv_center(rv)
-        assert abs(rv_mean(centered)) <= 1e-12
-        direct_var = math.fsum(p * (v - rv_mean(rv)) ** 2 for v, p in rv.atoms)
-        assert rv_abs_moment(rv, 2.0) - rv_mean(rv) ** 2 == pytest.approx(
-            direct_var, abs=1e-12 * max(1.0, direct_var)
-        )
+        assert len(law.atoms) == 3
+        assert law.atoms[1] == (0.29999999999999993, 0.5)
+        # a cluster is measured from its first value: 1.6e-12 lies within the
+        # merge tolerance of 0.8e-12 but not of 0
+        chain = DiscreteRV([(0.0, 0.25), (0.8e-12, 0.25), (1.6e-12, 0.5)])
+        assert chain.atoms == ((0.0, 0.5), (1.6e-12, 0.5))
+        # a total of 1 + 8e-13 is accepted, but the raw products of its square
+        # sum to 1 + 1.6e-12, beyond the drift tolerance, so they are renormalized
+        x = DiscreteRV([(0.0, 0.5), (1.0, 0.5 + 8e-13)])
+        raw = {0.0: [0.25], 1.0: [0.5 * (0.5 + 8e-13)] * 2, 2.0: [(0.5 + 8e-13) ** 2]}
+        raw_total = math.fsum(sum(raw.values(), []))
+        assert abs(raw_total - 1.0) > 1.5e-12
+        law = rv_convolve(x, x)
+        assert law.values.tolist() == [0.0, 1.0, 2.0]
+        assert abs(math.fsum(law.probs) - 1.0) <= 1e-15
+        for v, p in law.atoms:
+            expected = math.fsum(raw[v]) / raw_total
+            assert abs(p - expected) <= 1e-15 * expected
 
 
 class TestLevyVarianceMeasure:
     def test_moments(self):
         h = LevyVarianceMeasure([(1.0, 1.0), (-2.0, 0.5)])
-        assert h.total_weight() == 1.5
-        assert h.p_moment(5.0) == pytest.approx(1.0 + 8.0 * 0.5, rel=1e-15)
+        total, pth = class_moments(h, 5.0)
+        assert total == 1.5
+        assert pth == pytest.approx(1.0 + 8.0 * 0.5, rel=1e-15)
         assert h.gaussian_variance() == 0.0
 
     def test_gaussian_atom_and_merge(self):
@@ -137,27 +139,24 @@ class TestLevyVarianceMeasure:
             atoms = [(rng.uniform(-3, 3), rng.uniform(0.1, 2)) for _ in range(3)]
             h = LevyVarianceMeasure(atoms)
             p = rng.uniform(2.5, 7.0)
+            total, pth = class_moments(h, p)
             for kappa in (0.5, 2.0, 3.0):
-                hs = h.scaled(kappa)
-                assert hs.total_weight() == pytest.approx(
-                    kappa**2 * h.total_weight(), rel=1e-12
-                )
-                assert hs.p_moment(p) == pytest.approx(kappa**p * h.p_moment(p), rel=1e-12)
-
-    def test_json_round_trip(self):
-        h = LevyVarianceMeasure([(0.0, 0.25), (1.5, 0.5)])
-        assert LevyVarianceMeasure.from_json_dict(h.to_json_dict()) == h
+                # the measure of kappa * Y_H
+                hs = LevyVarianceMeasure([(kappa * u, kappa**2 * w) for u, w in h.atoms])
+                scaled_total, scaled_pth = class_moments(hs, p)
+                assert scaled_total == pytest.approx(kappa**2 * total, rel=1e-12)
+                assert scaled_pth == pytest.approx(kappa**p * pth, rel=1e-12)
 
 
 class TestSignedAtomMeasure:
     def test_cancellation(self):
         d = SignedAtomMeasure([(1.0, 1.0), (1.0, -1.0)])
         assert d.atoms == ()
-        assert d.total_variation() == 0.0
 
     def test_total_variation(self):
-        d = SignedAtomMeasure([(0.0, -0.5), (2.0, 1.5)])
-        assert d.total_variation() == 2.0
+        d = SignedAtomMeasure([(2.0, 1.5), (0.0, -0.5), (2.0, 0.25)])
+        assert d.atoms == ((0.0, -0.5), (2.0, 1.75))
+        assert math.fsum(abs(w) for _, w in d.atoms) == 2.25
 
 
 class TestMomentConstraints:
@@ -173,16 +172,16 @@ class TestMeasureInClass:
     def test_examples(self):
         # (p; A, B) = (5; 1, 1): total weight B and |x|^{p-2} moment A
         h = LevyVarianceMeasure([(1.0, 1.0)])
-        assert (h.total_weight(), h.p_moment(5.0)) == (1.0, 1.0)
+        assert class_moments(h, 5.0) == (1.0, 1.0)
         half = LevyVarianceMeasure([(1.0, 0.5)])
-        assert (half.total_weight(), half.p_moment(5.0)) == (0.5, 0.5)
+        assert class_moments(half, 5.0) == (0.5, 0.5)
         far = LevyVarianceMeasure([(2.0, 1.0)])
-        assert (far.total_weight(), far.p_moment(5.0)) == (1.0, 8.0)
-        assert far.max_abs_location() > 1.0
+        assert class_moments(far, 5.0) == (1.0, 8.0)
+        assert far.locations.tolist() == [2.0]
 
     def test_support_bound(self):
         # (p; A, B) = (5; 16, 2) is met by 2 delta_2, whose support is [-2, 2]
         h = LevyVarianceMeasure([(2.0, 2.0)])
-        assert (h.total_weight(), h.p_moment(5.0)) == (2.0, 16.0)
-        assert h.max_abs_location() == 2.0
-        assert LevyVarianceMeasure([(-2.0, 2.0), (0.0, 0.5)]).max_abs_location() == 2.0
+        assert class_moments(h, 5.0) == (2.0, 16.0)
+        assert np.abs(h.locations).max() == 2.0
+        assert np.abs(LevyVarianceMeasure([(-2.0, 2.0), (0.0, 0.5)]).locations).max() == 2.0

@@ -92,7 +92,8 @@ class TestFirstVariation:
         base = LevyVarianceMeasure([(1.0, 1.0), (-0.7, 0.8)])
         delta = SignedAtomMeasure([(1.0, 0.4), (-0.7, -0.3)])
         for beta in (0.25, 0.5, 1.0):
-            path = PerturbationPath(base, delta.scaled(beta), t_max=0.5)
+            scaled = SignedAtomMeasure([(u, beta * d) for u, d in delta.atoms])
+            path = PerturbationPath(base, scaled, t_max=0.5)
             value = first_variation(path, 5.5, D0, 0.0)
             unit = first_variation(PerturbationPath(base, delta, t_max=0.5), 5.5, D0, 0.0)
             assert value == pytest.approx(beta * unit, rel=1e-10)

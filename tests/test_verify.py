@@ -138,7 +138,10 @@ class TestAccompanyingMeasure:
             DiscreteRV([(kappa * v, p) for v, p in m.atoms]) for m in seq.members
         ]
         direct = accompanying_measure(RVSequence(scaled_members))
-        expected = accompanying_measure(seq).scaled(kappa)
+        # the measure of kappa * Y_H
+        expected = LevyVarianceMeasure(
+            [(kappa * u, kappa**2 * w) for u, w in accompanying_measure(seq).atoms]
+        )
         np.testing.assert_allclose(direct.locations, expected.locations, rtol=1e-14)
         np.testing.assert_allclose(direct.weights, expected.weights, rtol=1e-14)
 

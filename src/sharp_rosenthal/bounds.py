@@ -86,7 +86,7 @@ class BoundResult:
 
     value: float
     regime: str
-    certificate: Optional[LambdaC | Tuple[LambdaC, LambdaC]]
+    certificate: LambdaC | Tuple[LambdaC, LambdaC]
     achieved_sign: str
     error_budget: float
 

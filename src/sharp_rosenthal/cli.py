@@ -72,10 +72,8 @@ def _bound_to_dict(result: bnd.BoundResult) -> dict:
             "lambda1": cert[1].lam,
             "c1": cert[1].c,
         }
-    elif cert is not None:
-        cert_dict = {"lambda": cert.lam, "c": cert.c}
     else:
-        cert_dict = {}
+        cert_dict = {"lambda": cert.lam, "c": cert.c}
     return {
         "value": result.value,
         "regime": result.regime,

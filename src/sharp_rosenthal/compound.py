@@ -479,14 +479,7 @@ def cp_part_moment_contour(
         z = sigma + 1j * taus
         return cp_mgf(law, z) / z**exponent
 
-    total, err = adaptive_gauss_kronrod(
-        integrand,
-        -t_max,
-        t_max,
-        atol=cfg.tol / (2.0 * scale),
-        rtol=1e-13,
-        initial_panels=16,
-    )
+    total, _ = adaptive_gauss_kronrod(integrand, -t_max, t_max, cfg.tol / (2.0 * scale))
     value = scale * total
     resid = abs(value.imag)
     if resid > max(50.0 * cfg.tol, 5e-12 * (1.0 + abs(value.real))):

@@ -15,12 +15,11 @@ decreases, so the discarded sum beyond an index is at most the first
 discarded term over one minus its ratio, a test that stays passed further
 out.  Each cutoff is the nearest index that passes it.  A closed-form guess
 -- at most two Newton steps on the continuous log-envelope, from a
-Bernstein or sub-Gaussian edge or, below lambda = 1, from the first index
-past the mean -- starts one search, exponential outward from the guess and
-then bisection, which usually makes two tests.  The guess moves only the
-number of tests, never the cutoff.  The window is O(sqrt(lambda)) wide.
-Poisson probabilities are computed in log space so intensities up to 1e4
-are handled without overflow.
+Bernstein or sub-Gaussian edge -- starts one search, exponential outward
+from the guess and then bisection, which usually makes two tests.  The
+guess moves only the number of tests, never the cutoff.  The window is
+O(sqrt(lambda)) wide.  Poisson probabilities are computed in log space so
+intensities up to 1e4 are handled without overflow.
 
 Gaussian moments have closed forms, vectorized over the mean: the absolute
 moment through Kummer's 1F1 and the part moments through the parabolic
@@ -116,9 +115,6 @@ def _certified(
     return log_first - math.log(-math.expm1(log_ratio)) <= log_tol
 
 
-#: digamma(2) = 1 - Euler's constant: the slope of -lgamma(x + 1) at x = 1.
-_DIGAMMA_2 = 1.0 - 0.5772156649015329
-
 #: Below this intensity each index past the mean costs the envelope a factor
 #: lam, so the window ends within a few indices of the mean; a search from
 #: the mean itself makes as few tests there as one from any computed guess.
@@ -165,24 +161,14 @@ def _guess(
     stop cost more tests than it saved).  Rounded inward by half an index,
     an estimate within half an index of the root lands on j or j - 1, from
     either of which the search makes two tests.  Below lam = 1 the head is
-    index 0 alone, and the tail's first step, from x = 1 where lgamma(2) = 0
-    and digamma(2) is exact, is the guess when it settles, else the start if
-    it is nearer than the edge; below lam = 1e-8 the guess is j = 0.
+    index 0 alone, and below lam = 1e-8 (:data:`_SEARCH_FROM_MEAN`) the
+    tail ends within a few indices of the mean; the guess there is j = 0.
     """
-    start = math.inf
-    if lam < 1.0:
-        if side < 0 or lam < _SEARCH_FROM_MEAN:
-            return 0
-        d = offset + 1.0 - lam
-        slope = log_lam - _DIGAMMA_2 + q / d
-        if slope < 0.0:
-            step = (log_scale + log_lam - lam + q * math.log(d) - log_tol) / slope
-            start = 1.0 - step
-            if _settled(start, step, slope, lam, q, offset):
-                return math.ceil(start - 2.5)
+    if lam < _SEARCH_FROM_MEAN or (side < 0 and lam < 1.0):
+        return 0
     e = _envelope_excess(lam, q, log_tol, offset, log_scale)
     if side > 0:
-        x = min(start, lam + e / 3.0 + math.sqrt(e * e / 9.0 + 2.0 * lam * e) + 1.0)
+        x = lam + e / 3.0 + math.sqrt(e * e / 9.0 + 2.0 * lam * e) + 1.0
     else:
         x = lam - math.sqrt(2.0 * lam * e)
     for _ in range(2):

@@ -1,10 +1,14 @@
-"""Gauss-Legendre rules against 30-digit mpmath references."""
+"""Gauss-Legendre rules against 30-digit mpmath references, and the
+adaptive Gauss-Kronrod integrator against closed forms."""
+
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from sharp_rosenthal.quadrature import gauss_legendre_01
+from sharp_rosenthal.errors import QuadratureNotConverged
+from sharp_rosenthal.quadrature import adaptive_gauss_kronrod, gauss_legendre_01
 
 
 def mp_legendre_node_weight(n: int, x0: float) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -47,3 +51,33 @@ def test_rule_shape_and_exactness(n):
     # exact for polynomials of degree 2n - 1: int_0^1 s^k ds = 1/(k+1)
     for k in (0, 1, 2 * n - 1):
         assert float(w @ s**k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
+
+
+class TestAdaptiveGaussKronrod:
+    def test_polynomial(self):
+        total, err = adaptive_gauss_kronrod(lambda x: x**12, -1.0, 1.0, 1e-15)
+        assert total.real == pytest.approx(2.0 / 13.0, rel=1e-14, abs=0.0)
+        assert total.imag == 0.0 and err <= 1e-14
+
+    def test_oscillatory_complex(self):
+        # int_{-30}^{30} e^{7ix} dx = 2 sin(210)/7, about 33 periods
+        total, err = adaptive_gauss_kronrod(lambda x: np.exp(7j * x), -30.0, 30.0, 1e-13)
+        assert abs(total.real - 2.0 * math.sin(210.0) / 7.0) <= 1e-12
+        assert abs(total.imag) <= 1e-12
+        assert err <= 1e-12
+
+    def test_noise_reaches_panel_budget(self):
+        # fresh noise at every point: bisection never shrinks the error estimate
+        rng = np.random.default_rng(0)
+        with pytest.raises(QuadratureNotConverged):
+            adaptive_gauss_kronrod(lambda x: rng.standard_normal(x.shape), 0.0, 1.0, 1e-10)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 0.0), (0.0, math.nan)])
+    def test_empty_or_reversed_interval(self, a, b):
+        with pytest.raises(ValueError):
+            adaptive_gauss_kronrod(np.cos, a, b, 1e-12)
+
+    def test_return_types(self):
+        total, err = adaptive_gauss_kronrod(np.cos, 0.0, 1.0, 1e-12)
+        assert type(total) is complex and type(err) is float
+        assert total == pytest.approx(math.sin(1.0), rel=1e-14)

@@ -40,7 +40,6 @@ from .poisson import (
 )
 from .compound import (
     CompoundLaw,
-    cp_abs_moment,
     cp_abs_moment_crosscheck,
     cp_abs_moment_series,
     cp_mgf,

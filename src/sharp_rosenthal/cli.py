@@ -2,20 +2,21 @@
 
 Subcommands: bound, constants, verify, scan, limit, accompany.  Output is
 deterministic for a fixed (command, config, seed): floats print with 17
-significant digits so every CSV cell round-trips losslessly.
+significant digits so every CSV cell round-trips losslessly.  ``bound``,
+``scan`` and ``accompany`` print one record as ``--output`` json, csv or
+pretty; ``verify`` and ``limit`` always print JSONL, and ``constants`` CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bounds as bnd
 from .errors import SharpRosenthalError, UnsupportedExponents
 from .measures import DiscreteRV
-from .poisson import SeriesConfig
+from .poisson import DEFAULT_CONFIG, SeriesConfig
 from .suites import (
     domination_suite,
     fuzz_suite,
@@ -30,8 +31,6 @@ EXIT_CASE_FAILED = 1
 EXIT_UNSUPPORTED = 2
 EXIT_PARSE = 3
 
-TOL_ENV_VAR = "SHARP_ROSENTHAL_TOL"
-
 
 def fmt(x: float) -> str:
     """17 significant digits: lossless double round-trip."""
@@ -45,10 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _series_config(args) -> SeriesConfig:
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get(TOL_ENV_VAR, 1e-12))
-    return SeriesConfig(tol=tol, max_terms=args.max_terms)
+    return SeriesConfig(tol=args.tol, max_terms=args.max_terms)
 
 
 def _q(args) -> float:
@@ -96,10 +92,14 @@ def _emit_record(record: dict, output: str) -> None:
 
 
 def _cmd_bound(args) -> int:
+    if args.mode != "combined" and (args.A1 is not None or args.B1 is not None):
+        raise ValueError(f"--A1 and --B1 apply only to --mode combined, not {args.mode}")
     cfg = _series_config(args)
     X = _load_rv(args.x)
     if args.mode == "even":
-        result = bnd.even_p_bound(int(args.p), args.A, args.B)
+        if args.x != "zero" or _q(args) != args.p:
+            raise ValueError("--mode even is the closed form for --x zero and q = p")
+        result = bnd.even_p_bound(args.p, args.A, args.B)
     elif args.mode == "symmetric":
         result = bnd.symmetric_bound(args.p, _q(args), args.A, args.B, X, cfg)
     elif args.mode == "combined":
@@ -142,7 +142,7 @@ def _cmd_verify(args) -> int:
     elif args.suite == "domination":
         reports = domination_suite(args.cases, args.seed, args.q if args.q is not None else 5.0, cfg)
     elif args.suite == "tightness":
-        reports = tightness_suite(int(args.p), args.A, args.B)
+        reports = tightness_suite(args.p, args.A, args.B)
     elif args.suite == "variation":
         reports = variation_suite(args.cases, args.seed, cfg)
     else:  # qscan
@@ -185,7 +185,6 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_accompany(args) -> int:
-    _series_config(args)  # rejects a bad --tol or --max-terms, as every command does
     lc, params, moment = _accompanying_array(args.p, args.A, args.B, args.n)
     record = {
         "n": args.n,
@@ -199,9 +198,12 @@ def _cmd_accompany(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=None, help="series tolerance (default 1e-12 or $SHARP_ROSENTHAL_TOL)")
-    parser.add_argument("--max-terms", type=int, default=10**6, dest="max_terms")
+def _add_series(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tol, help="series tolerance")
+    parser.add_argument("--max-terms", type=int, default=DEFAULT_CONFIG.max_terms, dest="max_terms")
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", choices=("json", "csv", "pretty"), default="pretty")
 
 
@@ -218,13 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--B1", type=float, default=None)
     p_bound.add_argument("--mode", choices=("exact", "even", "symmetric", "combined"), default="exact")
     p_bound.add_argument("--x", default="zero", help="JSON DiscreteRV file or 'zero'")
-    _add_common(p_bound)
+    _add_series(p_bound)
+    _add_output(p_bound)
     p_bound.set_defaults(func=_cmd_bound)
 
     p_const = sub.add_parser("constants", help="best-constant table vs the classical constant")
     p_const.add_argument("--p-values", required=True, help="comma-separated p grid")
     p_const.add_argument("--gamma-values", required=True, help="comma-separated gamma grid")
-    _add_common(p_const)
+    _add_series(p_const)
     p_const.set_defaults(func=_cmd_constants)
 
     p_verify = sub.add_parser("verify", help="verification suites; one JSONL line per case")
@@ -236,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--A", type=float, default=1.0)
     p_verify.add_argument("--B", type=float, default=1.0)
     p_verify.add_argument("--grid", type=int, default=20)
-    _add_common(p_verify)
+    _add_series(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_scan = sub.add_parser("scan", help="two-atom family grid scan")
@@ -246,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--B", type=float, required=True)
     p_scan.add_argument("--grid", type=int, default=20)
     p_scan.add_argument("--x", default="zero")
-    _add_common(p_scan)
+    _add_series(p_scan)
+    _add_output(p_scan)
     p_scan.set_defaults(func=_cmd_scan)
 
     p_limit = sub.add_parser("limit", help="two-atom limit family along a |c2| sequence")
@@ -258,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_limit.add_argument("--a", type=float, required=True, help="mass carried to infinity")
     p_limit.add_argument("--c2", required=True, help="comma-separated |c2| sequence")
     p_limit.add_argument("--x", default="zero")
-    _add_common(p_limit)
+    _add_series(p_limit)
     p_limit.set_defaults(func=_cmd_limit)
 
     p_acc = sub.add_parser("accompany", help="near-extremal array parameters and moment at size n")
@@ -266,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_acc.add_argument("--A", type=float, required=True)
     p_acc.add_argument("--B", type=float, required=True)
     p_acc.add_argument("--n", type=int, required=True)
-    _add_common(p_acc)
+    _add_output(p_acc)
     p_acc.set_defaults(func=_cmd_accompany)
 
     return parser

@@ -9,11 +9,12 @@ scaled centered Poisson u*(Pi_lam - lam) with lam = w/u^2.
 The *series* engine composes truncated Poisson grids (certified Minkowski
 envelopes bound each discarded tail) and weights the residual means with the
 closed-form Gaussian moment.  One kernel, ``_expect``, computes every series
-moment -- absolute, positive and negative parts -- for a row of shifts of
-one certified grid, one Gaussian call per block of shifts; a single moment
-is the unshifted row.  The variations of :mod:`.variation` call it
-directly, so :class:`ShiftedMomentEvaluator`, a thin shell over the same
-grid and kernel, has no caller in the program.  The *contour* engine
+moment -- of the kind "abs", "positive" or "negative": the absolute moment
+and the two parts -- for a row of shifts of one certified grid, one
+Gaussian call per block of shifts; a single moment is the unshifted row.
+The variations of :mod:`.variation` call it directly, so
+:class:`ShiftedMomentEvaluator`, a thin shell over the same grid and
+kernel, has no caller in the program.  The *contour* engine
 evaluates the Fourier-Laplace identity
     E (x0+X+Y_H)_+^q = Gamma(q+1)/(2*pi*i) int_{Re z=sigma} dz z^{-(q+1)} M(z)
 on the vertical line Re z = sigma > 0 with the principal branch of z^{q+1};
@@ -59,7 +60,6 @@ __all__ = [
     "cp_abs_moment_series",
     "cp_part_moment_series",
     "cp_part_moment_contour",
-    "cp_abs_moment",
     "cp_abs_moment_crosscheck",
     "ShiftedMomentEvaluator",
 ]
@@ -280,11 +280,11 @@ def _expect(
 ) -> np.ndarray:
     """sum_j p_j E f(x + v_j + sd Z) for each shift x of a 1-D array.
 
-    ``kind`` selects f among |.|^q ("abs"), (.)_+^q ("pos"), (.)_-^q ("neg");
-    v_j is the residual mean of grid point j and p_j its weight.  ``None``
-    is the single unshifted row, summed over the v_j themselves.  Shifts run
-    in blocks of at most 2^23 shift x grid points, one Gaussian call per
-    block.
+    ``kind`` selects f among |.|^q ("abs"), (.)_+^q ("positive") and
+    (.)_-^q ("negative"); v_j is the residual mean of grid point j and p_j
+    its weight.  ``None`` is the single unshifted row, summed over the v_j
+    themselves.  Shifts run in blocks of at most 2^23 shift x grid points,
+    one Gaussian call per block.
     """
     if shifts is None:
         blocks = (grid.values[None, :],)
@@ -297,13 +297,12 @@ def _expect(
             if kind == "abs":
                 moments = gaussian_abs_moment(pts, grid.sd, q)
             else:
-                side = "positive" if kind == "pos" else "negative"
-                moments = gaussian_part_moment(pts, grid.sd, q, side)
+                moments = gaussian_part_moment(pts, grid.sd, q, kind)
             sums.append(np.array([math.fsum(row.tolist()) for row in moments * grid.probs]))
             continue
         if kind == "abs":
             weights = np.abs(pts) ** q
-        elif kind == "pos":
+        elif kind == "positive":
             weights = np.clip(pts, 0.0, None) ** q
         else:
             weights = np.clip(-pts, 0.0, None) ** q
@@ -319,23 +318,22 @@ def cp_abs_moment_series(law: CompoundLaw, q: float, cfg: SeriesConfig = DEFAULT
 
 
 def cp_part_moment_series(
-    law: CompoundLaw, q: float, side: str = "positive", cfg: SeriesConfig = DEFAULT_CONFIG
+    law: CompoundLaw, q: float, kind: str = "positive", cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> float:
-    """E((x0 + X + Y_H)_+)^q or the negative-part analogue, by the series engine."""
-    kinds = {"positive": "pos", "negative": "neg"}
-    if side not in kinds:
-        raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
+    """E((x0 + X + Y_H)_+)^q ("positive") or its "negative"-part analogue, by series."""
+    if kind not in ("positive", "negative"):
+        raise ValueError(f"kind must be 'positive' or 'negative', got {kind!r}")
     grid = _moment_grid(law, q, cfg)
-    return float(_expect(grid, q, kinds[side])[0])
+    return float(_expect(grid, q, kind)[0])
 
 
 class ShiftedMomentEvaluator:
     """E f(shift + x0 + X + Y_H) for many shifts sharing one certified grid.
 
-    ``kind`` selects f among |.|^q ("abs"), (.)_+^q ("pos"), (.)_-^q ("neg").
-    The grid is certified uniformly over |shift| <= shift_bound.  A shell
-    over ``_moment_grid`` and ``_expect`` that checks each shift against
-    the bound.
+    ``kind`` selects f among |.|^q ("abs"), (.)_+^q ("positive") and
+    (.)_-^q ("negative").  The grid is certified uniformly over
+    |shift| <= shift_bound.  A shell over ``_moment_grid`` and ``_expect``
+    that checks each shift against the bound.
     """
 
     def __init__(
@@ -346,8 +344,8 @@ class ShiftedMomentEvaluator:
         cfg: SeriesConfig = DEFAULT_CONFIG,
         kind: str = "abs",
     ):
-        if kind not in ("abs", "pos", "neg"):
-            raise ValueError(f"kind must be 'abs', 'pos' or 'neg', got {kind!r}")
+        if kind not in ("abs", "positive", "negative"):
+            raise ValueError(f"kind must be 'abs', 'positive' or 'negative', got {kind!r}")
         self.q = q
         self.kind = kind
         self.shift_bound = float(shift_bound)
@@ -441,11 +439,12 @@ def _contour_truncation(law: CompoundLaw, q: float, sigma: float, tol: float) ->
 def cp_part_moment_contour(
     law: CompoundLaw,
     q: float,
-    side: str = "positive",
+    kind: str = "positive",
     sigma: float | None = None,
     cfg: SeriesConfig = DEFAULT_CONFIG,
 ) -> float:
-    """E((x0 + X + Y_H)_+)^q via the Fourier-Laplace contour integral, q > 2.
+    """E((x0 + X + Y_H)_+)^q ("positive") or the "negative"-part analogue via
+    the Fourier-Laplace contour integral, q > 2.
 
     Integrates Gamma(q+1)/(2 pi) * M(sigma + i tau)/(sigma + i tau)^{q+1}
     over tau in [-T, T] with adaptive Gauss-Kronrod panels, T certified by
@@ -459,10 +458,10 @@ def cp_part_moment_contour(
     """
     if not q > 2.0:
         raise ExponentTooSmall(f"contour engine requires q > 2, got {q}")
-    if side == "negative":
+    if kind == "negative":
         return cp_part_moment_contour(law.reflected(), q, "positive", sigma, cfg)
-    if side != "positive":
-        raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
+    if kind != "positive":
+        raise ValueError(f"kind must be 'positive' or 'negative', got {kind!r}")
     if sigma is None:
         sigma = saddle_abscissa(law, q, cfg.tol)
         if sigma is None:
@@ -487,11 +486,6 @@ def cp_part_moment_contour(
             f"imaginary residual {resid:.3e} for q={q}, sigma={sigma}"
         )
     return float(value.real)
-
-
-def cp_abs_moment(law: CompoundLaw, q: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
-    """E|x0 + X + Y_H|^q; dispatches to the series engine."""
-    return cp_abs_moment_series(law, q, cfg)
 
 
 class CrossCheckedMoment(NamedTuple):

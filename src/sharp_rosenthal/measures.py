@@ -94,7 +94,11 @@ class DiscreteRV:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteRV":
-        return cls([(float(v), float(p)) for v, p in data["atoms"]])
+        """The law ``{"atoms": [[value, prob], ...]}``; ValueError on any other shape."""
+        try:
+            return cls([(float(v), float(p)) for v, p in data["atoms"]])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f'expected {{"atoms": [[value, prob], ...]}}, got {data!r}') from exc
 
 
 def rv_mean(x: DiscreteRV) -> float:

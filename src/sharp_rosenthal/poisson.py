@@ -434,19 +434,19 @@ def gaussian_abs_moment(mean, sd: float, q: float):
     return _as_result(sd**q * _std_abs_moment(m / sd, q), mean)
 
 
-def gaussian_part_moment(mean, sd: float, q: float, side: str):
-    """E((mean + sd*Z)_+)^q or E((mean + sd*Z)_-)^q for Z ~ N(0,1); vectorized
-    over ``mean``.
+def gaussian_part_moment(mean, sd: float, q: float, kind: str):
+    """E((mean + sd*Z)_+)^q ("positive") or E((mean + sd*Z)_-)^q ("negative")
+    for Z ~ N(0,1), as ``kind`` says; vectorized over ``mean``.
 
     The part on the side away from the mean comes from the parabolic cylinder
     function D_{-q-1}; the other part is the absolute moment less it, which
     never cancels because the former is at most half of the absolute moment.
     """
-    if side not in ("positive", "negative"):
-        raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
+    if kind not in ("positive", "negative"):
+        raise ValueError(f"kind must be 'positive' or 'negative', got {kind!r}")
     _check_gaussian_args(sd, q)
     m = np.atleast_1d(np.asarray(mean, dtype=float))
-    if side == "negative":
+    if kind == "negative":
         m = -m
     if sd == 0.0:
         return _as_result(np.clip(m, 0.0, None) ** q, mean)

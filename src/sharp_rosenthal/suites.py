@@ -94,7 +94,7 @@ def domination_suite(
 
 
 def tightness_suite(
-    p: int,
+    p: float,
     A: float = 1.0,
     B: float = 1.0,
     powers: range = range(4, 13),
@@ -104,8 +104,10 @@ def tightness_suite(
 
     One case per n = 2^k plus a trailing monotonicity case; the final gap
     must be under ``gap_budget`` relative and no gap may grow along n.
+    ``even_p_bound`` rejects a p that is not an even integer >= 4.
     """
     bound = even_p_bound(p, A, B).value
+    p = int(p)  # case ids read tight-4-..., not tight-4.0-...
     gaps = []
     out = []
     for k in powers:
@@ -164,14 +166,12 @@ def random_variation_case(seed: int, order: int = 1):
     return path, q, X
 
 
-def _central_first(f) -> float:
-    """Richardson-extrapolated central first difference of f at 0, with the
-    steps FD_STEPS_FIRST."""
-    h1, h2 = FD_STEPS_FIRST
-    d1 = (f(h1) - f(-h1)) / (2.0 * h1)
-    d2 = (f(h2) - f(-h2)) / (2.0 * h2)
-    r = (h1 / h2) ** 2
-    return (r * d2 - d1) / (r - 1.0)
+def _richardson(diff, h: float, h2: float, order: int) -> float:
+    """Richardson extrapolation of a difference quotient ``diff`` whose error
+    is of the given order in its step: (r diff(h2) - diff(h))/(r - 1) with
+    r = (h/h2)^order."""
+    r = (h / h2) ** order
+    return (r * diff(h2) - diff(h)) / (r - 1.0)
 
 
 def fd_first_derivative(
@@ -194,16 +194,10 @@ def fd_first_derivative(
 
     try:
         path.measure_at(-h1)
-        two_sided = True
     except InfeasiblePath:
-        two_sided = False
-    if two_sided:
-        return _central_first(f)
-    f0 = f(0.0)
-    d1 = (f(h1) - f0) / h1
-    d2 = (f(h2) - f0) / h2
-    r = h1 / h2
-    return (r * d2 - d1) / (r - 1.0)
+        f0 = f(0.0)
+        return _richardson(lambda h: (f(h) - f0) / h, h1, h2, 1)
+    return _richardson(lambda h: (f(h) - f(-h)) / (2.0 * h), h1, h2, 2)
 
 
 def fd_second_derivative(
@@ -219,10 +213,12 @@ def fd_second_derivative(
     def f(t: float) -> float:
         return moment_along_path(path, q, X, t, cfg, kind)
 
-    def second(hh: float) -> float:
-        return (f(2.0 * hh) - 2.0 * f(hh) + f(0.0)) / (hh * hh)
+    f0 = f(0.0)
 
-    return 2.0 * second(h / 2.0) - second(h)
+    def second(hh: float) -> float:
+        return (f(2.0 * hh) - 2.0 * f(hh) + f0) / (hh * hh)
+
+    return _richardson(second, h, h / 2.0, 1)
 
 
 def fd_midpoint_derivative(
@@ -242,14 +238,14 @@ def fd_midpoint_derivative(
         return moment_along_path(path, q, X, t + dt, cfg, kind)
 
     if order == 1:
-        return _central_first(f)
+        return _richardson(lambda h: (f(h) - f(-h)) / (2.0 * h), *FD_STEPS_FIRST, 2)
     h = FD_STEP_SECOND
     center = f(0.0)
 
     def second(hh: float) -> float:
         return (f(hh) - 2.0 * center + f(-hh)) / (hh * hh)
 
-    return (4.0 * second(h / 2.0) - second(h)) / 3.0
+    return _richardson(second, h, h / 2.0, 2)
 
 
 #: Per order: the variation, its oracle at t = 0 and the two tolerances.

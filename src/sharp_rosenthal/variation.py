@@ -33,13 +33,9 @@ from itertools import product
 
 import numpy as np
 
-from .compound import (
-    CompoundLaw,
-    _expect,
-    _moment_grid,
-    cp_abs_moment,
-    cp_part_moment_series,
-)
+# the series is called as compound.cp_abs_moment_series, where perfbench's tracer wraps it
+from . import compound
+from .compound import CompoundLaw, _expect, _moment_grid, cp_part_moment_series
 from .errors import ExponentTooSmall, InfeasiblePath
 from .measures import DiscreteRV, LevyVarianceMeasure, SignedAtomMeasure, rv_mean
 from .poisson import DEFAULT_CONFIG, SeriesConfig
@@ -95,12 +91,11 @@ def moment_along_path(
     cfg: SeriesConfig = DEFAULT_CONFIG,
     kind: str = "abs",
 ) -> float:
-    """E f(X + Y_{H_t}) along the path; the function the variations differentiate."""
+    """E f(X + Y_{H_t}) along the path for f of ``kind``; what the variations differentiate."""
     law = CompoundLaw(0.0, X, path.measure_at(t))
     if kind == "abs":
-        return cp_abs_moment(law, q, cfg)
-    side = {"pos": "positive", "neg": "negative"}[kind]
-    return cp_part_moment_series(law, q, side, cfg)
+        return compound.cp_abs_moment_series(law, q, cfg)
+    return cp_part_moment_series(law, q, kind, cfg)
 
 
 def _direction_terms(direction: SignedAtomMeasure) -> list[tuple[float, int, float]]:
@@ -115,16 +110,16 @@ def _direction_terms(direction: SignedAtomMeasure) -> list[tuple[float, int, flo
 
 
 def _sides(kind: str, m: int) -> list[tuple[str, float]]:
-    """f^(m) / (q(q-1)...(q-m+1)) as signed ``_expect`` kinds at exponent q - m:
-    |.|^{q-m} (times sgn, i.e. pos - neg, for odd m), (.)_+^{q-m}, or
-    (-1)^m (.)_-^{q-m}."""
+    """f^(m) / (q(q-1)...(q-m+1)) as signed ``_expect`` kinds at exponent q - m,
+    for f of the kind "abs", "positive" or "negative": |.|^{q-m} (times sgn,
+    i.e. positive - negative, for odd m), (.)_+^{q-m}, or (-1)^m (.)_-^{q-m}."""
     if kind == "abs":
-        return [("abs", 1.0)] if m % 2 == 0 else [("pos", 1.0), ("neg", -1.0)]
-    if kind == "pos":
-        return [("pos", 1.0)]
-    if kind == "neg":
-        return [("neg", (-1.0) ** m)]
-    raise ValueError(f"kind must be 'abs', 'pos' or 'neg', got {kind!r}")
+        return [("abs", 1.0)] if m % 2 == 0 else [("positive", 1.0), ("negative", -1.0)]
+    if kind == "positive":
+        return [("positive", 1.0)]
+    if kind == "negative":
+        return [("negative", (-1.0) ** m)]
+    raise ValueError(f"kind must be 'abs', 'positive' or 'negative', got {kind!r}")
 
 
 def _derivative_sum(
@@ -135,7 +130,8 @@ def _derivative_sum(
     kind: str = "abs",
 ) -> float:
     """sum_i c_i E f^(m_i)(x_i + x0 + X + Y_H) for terms (c_i, m_i, x_i), with
-    f = |.|^q, (.)_+^q or (.)_-^q as ``kind`` says.
+    f = |.|^q, (.)_+^q or (.)_-^q as ``kind`` ("abs", "positive" or
+    "negative") says.
 
     Terms with equal (m, x) are merged.  Every order and side is summed over
     one grid, certified for every shift |x| <= max_i |x_i| and for every
@@ -180,8 +176,8 @@ def _derivative_sum(
     parts = []
     for m, cx in orders.items():
         cs, xs = np.array(cx).T
-        for side, sign in _sides(kind, m):
-            moments = _expect(grid, q - m, side, xs)
+        for part, sign in _sides(kind, m):
+            moments = _expect(grid, q - m, part, xs)
             parts.extend((sign * falling[m] * cs * moments).tolist())
     return math.fsum(parts)
 

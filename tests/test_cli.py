@@ -8,7 +8,11 @@ from sharp_rosenthal.cli import EXIT_CASE_FAILED, EXIT_OK, EXIT_PARSE, EXIT_UNSU
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """main's exit code, also when argparse exits, with its stdout and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -80,6 +84,60 @@ class TestBoundCommand:
         assert excinfo.value.code == EXIT_PARSE
 
 
+
+class TestRefusedInputs:
+    """An input a command cannot use as given exits 3 rather than being
+    rounded, replaced or dropped."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("bound", "--mode", "even", "--p", "4.5", "--A", "1", "--B", "1"), "4.5"),
+            (("bound", "--mode", "even", "--p", "6", "--q", "5", "--A", "1", "--B", "1"), "q = p"),
+            (("bound", "--p", "5", "--A", "1", "--B", "1", "--A1", "1"), "--A1"),
+            (("bound", "--mode", "symmetric", "--p", "5", "--A", "1", "--B", "1", "--B1", "1"),
+             "--B1"),
+            (("verify", "tightness", "--p", "5.9"), "5.9"),
+            (("accompany", "--p", "4", "--A", "1", "--B", "1", "--n", "16", "--tol", "1e-3"),
+             "--tol"),
+            (("verify", "fuzz", "--cases", "1", "--output", "json"), "--output"),
+        ],
+    )
+    def test_exit_parse(self, capsys, argv, named):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert named in err
+
+    def test_even_mode_refuses_x(self, capsys, tmp_path):
+        rv_file = tmp_path / "x.json"
+        rv_file.write_text(json.dumps({"atoms": [[-1.0, 0.3], [0.2, 0.5], [1.0, 0.2]]}))
+        code, _, err = run_cli(
+            capsys,
+            "bound", "--mode", "even", "--p", "6", "--A", "1", "--B", "1", "--x", str(rv_file),
+        )
+        assert code == EXIT_PARSE
+        assert "--x zero" in err
+
+    def test_even_mode_takes_q_equal_p(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bound", "--mode", "even", "--p", "6", "--q", "6", "--A", "1", "--B", "1",
+            "--output", "json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == "41"
+
+    @pytest.mark.parametrize(
+        "text", ["{}", "[1, 2]", '{"atoms": 5}', '{"atoms": [[null, 1]]}', '"x"']
+    )
+    def test_malformed_x_file(self, capsys, tmp_path, text):
+        rv_file = tmp_path / "x.json"
+        rv_file.write_text(text)
+        code, _, err = run_cli(
+            capsys, "bound", "--p", "5", "--A", "1", "--B", "1", "--x", str(rv_file)
+        )
+        assert code == EXIT_PARSE
+        assert "atoms" in err
+
 class TestConstantsCommand:
     def test_table(self, capsys):
         code, out, _ = run_cli(
@@ -128,18 +186,10 @@ class TestVerifyCommand:
 
 class TestDeterminism:
     def test_byte_identical_repeat(self, capsys):
-        args = ("verify", "fuzz", "--cases", "4", "--seed", "11", "--p", "5", "--output", "json")
+        args = ("verify", "fuzz", "--cases", "4", "--seed", "11", "--p", "5")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
-
-    def test_tol_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SHARP_ROSENTHAL_TOL", "1e-6")
-        code, out, _ = run_cli(
-            capsys, "bound", "--p", "5", "--A", "1", "--B", "1", "--output", "json"
-        )
-        assert code == EXIT_OK
-        assert float(json.loads(out)["error_budget"]) > 1e-6
 
 
 class TestScanLimitAccompany:

@@ -8,12 +8,14 @@ import pytest
 from conftest import single_atom
 from sharp_rosenthal.compound import (
     CompoundLaw,
-    cp_abs_moment,
+    ShiftedMomentEvaluator,
     cp_abs_moment_series,
+    cp_part_moment_contour,
     cp_part_moment_series,
 )
 from sharp_rosenthal.errors import ExponentTooSmall, InfeasiblePath
 from sharp_rosenthal.measures import DiscreteRV, LevyVarianceMeasure, SignedAtomMeasure
+from sharp_rosenthal.poisson import gaussian_part_moment
 from sharp_rosenthal.suites import (
     fd_first_derivative,
     fd_second_derivative,
@@ -35,7 +37,7 @@ H1 = LevyVarianceMeasure([(1.0, 1.0)])
 
 def h_kernel(x, q, X, H):
     """h(x) = q(q-1) E|x + X + Y_H|^{q-2}, the first-variation integrand."""
-    return q * (q - 1.0) * cp_abs_moment(CompoundLaw(x, X, H), q - 2.0)
+    return q * (q - 1.0) * cp_abs_moment_series(CompoundLaw(x, X, H), q - 2.0)
 
 
 class TestHKernel:
@@ -72,7 +74,7 @@ class TestFirstVariation:
         # Delta = delta_0 collapses the s-integral: (q choose 2) E|X+Y_H|^{q-2}
         path = PerturbationPath(H1, SignedAtomMeasure([(0.0, 1.0)]), t_max=1.0)
         value = first_variation(path, 5.0, D0, 0.0)
-        expected = 0.5 * 5.0 * 4.0 * cp_abs_moment(CompoundLaw.pure(H1), 3.0)
+        expected = 0.5 * 5.0 * 4.0 * cp_abs_moment_series(CompoundLaw.pure(H1), 3.0)
         assert value == pytest.approx(expected, rel=1e-10)
 
     def test_cumulant_polynomial_oracle(self):
@@ -103,7 +105,7 @@ class TestFirstVariation:
         for i in range(10):
             path, q, X = random_variation_case(int(rng.integers(0, 2**31)), order=1)
             q = max(q, 3.0)
-            for kind in ("pos", "neg"):
+            for kind in ("positive", "negative"):
                 analytic = first_variation(path, q, X, 0.0, kind=kind)
                 fd = fd_first_derivative(path, q, X, kind=kind)
                 assert analytic == pytest.approx(fd, rel=2e-5, abs=1e-8), (i, kind, q)
@@ -166,8 +168,8 @@ class TestPositivityKernel:
                 for X in (D0, DiscreteRV.two_point_zero_mean(-0.4, 0.9)):
                     for _ in range(4):
                         u, alpha, s = (float(v) for v in rng.choice(pts, 3))
-                        small = cp_abs_moment(CompoundLaw(u * alpha * s, X, H), q - 4.0)
-                        big = cp_abs_moment(CompoundLaw(alpha * s, X, H), q - 4.0)
+                        small = cp_abs_moment_series(CompoundLaw(u * alpha * s, X, H), q - 4.0)
+                        big = cp_abs_moment_series(CompoundLaw(alpha * s, X, H), q - 4.0)
                         expected = q * (q - 1.0) * (q - 2.0) * (q - 3.0) * (small - u ** (p - 4.0) * big)
                         value = positivity_kernel(u, alpha, s, p, q, X, H)
                         assert value == pytest.approx(expected, rel=1e-12)
@@ -210,7 +212,7 @@ class TestVariationalF:
 class TestMomentAlongPath:
     def test_matches_direct_engine(self):
         path = PerturbationPath(H1, SignedAtomMeasure([(1.0, 0.5)]), t_max=1.0)
-        direct = cp_abs_moment(CompoundLaw.pure(LevyVarianceMeasure([(1.0, 1.25)])), 5.0)
+        direct = cp_abs_moment_series(CompoundLaw.pure(LevyVarianceMeasure([(1.0, 1.25)])), 5.0)
         assert moment_along_path(path, 5.0, D0, 0.5) == pytest.approx(direct, rel=1e-12)
 
 
@@ -234,7 +236,7 @@ def _mp_grid(X, H, eps=mp.mpf("1e-34")):
 def _mp_power(x, r, kind):
     if kind == "abs":
         return abs(x) ** r
-    if kind == "pos":
+    if kind == "positive":
         return x**r if x > 0 else mp.mpf(0)
     return (-x) ** r if x < 0 else mp.mpf(0)
 
@@ -262,6 +264,34 @@ def _mp_first_variation(path, q, X, kind):
                     )
                 total += mp.mpf(d) * p * term
         return float(q * (q - 1) * total)
+
+
+_KIND_LAW = CompoundLaw(0.2, DiscreteRV.two_point_zero_mean(-0.5, 1.0), H1)
+_KIND_PATH = PerturbationPath(H1, SignedAtomMeasure([(1.0, 0.5), (-0.8, 0.3)]), t_max=0.4)
+
+#: Every entry point that takes a part kind, called at that kind.
+_KIND_ENTRY_POINTS = {
+    "cp_part_moment_series": lambda kind: cp_part_moment_series(_KIND_LAW, 5.0, kind),
+    "cp_part_moment_contour": lambda kind: cp_part_moment_contour(_KIND_LAW, 5.0, kind),
+    "gaussian_part_moment": lambda kind: gaussian_part_moment(0.3, 1.0, 5.0, kind),
+    "ShiftedMomentEvaluator": lambda kind: ShiftedMomentEvaluator(_KIND_LAW, 5.0, 1.0, kind=kind)(
+        np.array([-0.5, 0.5])
+    ),
+    "first_variation": lambda kind: first_variation(_KIND_PATH, 5.0, D0, kind=kind),
+    "second_variation": lambda kind: second_variation(_KIND_PATH, 5.0, D0, kind=kind),
+    "moment_along_path": lambda kind: moment_along_path(_KIND_PATH, 5.0, D0, 0.1, kind=kind),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_KIND_ENTRY_POINTS))
+def test_part_kinds_have_one_spelling(entry):
+    call = _KIND_ENTRY_POINTS[entry]
+    positive, negative = (np.asarray(call(kind)) for kind in ("positive", "negative"))
+    assert np.all(np.isfinite(positive)) and np.all(np.isfinite(negative))
+    assert not np.array_equal(positive, negative)
+    for kind in ("pos", "bogus"):
+        with pytest.raises(ValueError, match="kind"):
+            call(kind)
 
 
 class TestMpmathReference:
@@ -306,7 +336,7 @@ class TestMpmathReference:
     mp.mpf.
     """
 
-    @pytest.mark.parametrize("kind", ["abs", "pos", "neg"])
+    @pytest.mark.parametrize("kind", ["abs", "positive", "negative"], ids=["abs", "pos", "neg"])
     def test_first_variation_low_q(self, kind):
         # a small-intensity base keeps the reference grid short; at q = 2.3
         # f'' = |.|^{0.3} has a cusp at every grid point's kink
@@ -340,7 +370,9 @@ class TestPartIdentity:
         rng = np.random.default_rng(41 + order)
         for _ in range(8):
             path, q, X = random_variation_case(int(rng.integers(0, 2**31)), order=order)
-            pos, neg, total = (variation(path, q, X, kind=k) for k in ("pos", "neg", "abs"))
+            pos, neg, total = (
+                variation(path, q, X, kind=k) for k in ("positive", "negative", "abs")
+            )
             assert pos + neg == pytest.approx(total, rel=1e-12, abs=1e-12), (q, path)
 
 
@@ -364,9 +396,9 @@ def _moment_derivative(law, q, m, x, kind):
     falling = float(np.prod([q - i for i in range(m)]))
     pos = cp_part_moment_series(shifted, q - m, "positive")
     neg = cp_part_moment_series(shifted, q - m, "negative")
-    if kind == "pos":
+    if kind == "positive":
         return falling * pos
-    if kind == "neg":
+    if kind == "negative":
         return falling * (-1.0) ** m * neg
     if m % 2 == 0:
         return falling * cp_abs_moment_series(shifted, q - m)
@@ -394,7 +426,7 @@ class TestPerOrderReference:
             for _ in range(order):
                 terms = _apply_direction(terms, path.direction)
             variation = first_variation if order == 1 else second_variation
-            for kind in ("abs", "pos", "neg"):
+            for kind in ("abs", "positive", "negative"):
                 value = variation(path, q, X, 0.1, kind=kind)
                 expected = _per_order_sum(terms, law, q, kind)
                 assert value == pytest.approx(expected, rel=1e-12, abs=1e-12), (path, q, kind)

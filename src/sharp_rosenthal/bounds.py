@@ -25,14 +25,8 @@ import numpy as np
 # the series is called as compound.cp_abs_moment_series, where perfbench's tracer wraps it
 from . import compound
 from .compound import CompoundLaw
-from .errors import (
-    BoundExceeded,
-    NotZeroMean,
-    SingularSystem,
-    TailNotConverged,
-    UnsupportedExponents,
-)
-from .measures import DiscreteRV, LevyVarianceMeasure, rv_mean
+from .errors import BoundExceeded, SingularSystem, TailNotConverged, UnsupportedExponents
+from .measures import ZERO_MEAN_TOL, DiscreteRV, LevyVarianceMeasure, require_zero_mean
 from .poisson import DEFAULT_CONFIG, SeriesConfig, poisson_central_moment_even
 
 # Not called here: the benchmark's tracer wraps bounds.skellam_abs_moment_about by name.
@@ -59,8 +53,6 @@ __all__ = [
     "require_zero_mean",
     "ZERO_MEAN_TOL",
 ]
-
-ZERO_MEAN_TOL = 1e-10
 
 REGIME_P_GE_5 = "p_ge_5"
 REGIME_P_IN_2_3 = "p_in_2_3"
@@ -101,12 +93,6 @@ def _budget(value: float, cfg: SeriesConfig, n_series: int = 1) -> float:
     """
     eps = np.finfo(float).eps
     return n_series * cfg.tol + 4096.0 * eps * max(1.0, abs(value))
-
-
-def require_zero_mean(X: DiscreteRV, what: str = "X") -> None:
-    mu = rv_mean(X)
-    if abs(mu) > ZERO_MEAN_TOL:
-        raise NotZeroMean(f"{what} must have mean 0 within {ZERO_MEAN_TOL}, got {mu}")
 
 
 def solve_lambda_c(p: float, A: float, B: float) -> LambdaC:
@@ -350,18 +336,6 @@ class QScanResult:
         return out
 
 
-def _canonical(point: QPoint) -> QPoint:
-    """List the active atom first so degenerate cells report as axis points.
-
-    A cell whose solved weights vanish on one co-ordinate describes the same
-    one-atom law regardless of the inactive scale; putting the lambda > 0
-    atom first makes those ties compare equal.
-    """
-    if point.lambda1 == 0.0 and point.lambda2 > 0.0:
-        return QPoint(point.c2, point.c1, point.lambda2, point.lambda1)
-    return point
-
-
 def scan_axis(c: float, n: int) -> np.ndarray:
     """Signed log-spaced magnitudes over [c/100, 100c] including +-c exactly."""
     m = max(2, n // 2)
@@ -369,6 +343,25 @@ def scan_axis(c: float, n: int) -> np.ndarray:
     exponents[np.argmin(np.abs(exponents))] = 0.0
     mags = c * 10.0**exponents
     return np.sort(np.concatenate([-mags, mags]))
+
+
+def _scan_cell(
+    p: float, q: float, A: float, B: float, X: DiscreteRV, c1: float, c2: float, cfg: SeriesConfig
+) -> ScanCell:
+    """The cell at (c1, c2): singular, infeasible, overflow or evaluated."""
+    try:
+        point = q_point_from_c(p, A, B, c1, c2)
+    except SingularSystem:
+        return ScanCell(c1, c2, math.nan, math.nan, math.nan, "singular")
+    if point is None:
+        return ScanCell(c1, c2, math.nan, math.nan, math.nan, "infeasible")
+    w1, w2 = point.weights()
+    levy = LevyVarianceMeasure([(c1, w1), (c2, w2)])
+    try:
+        value = compound.cp_abs_moment_series(CompoundLaw(0.0, X, levy), q, cfg)
+    except TailNotConverged:
+        return ScanCell(c1, c2, point.lambda1, point.lambda2, math.nan, "overflow")
+    return ScanCell(c1, c2, point.lambda1, point.lambda2, value, "evaluated")
 
 
 def q_scan(
@@ -381,57 +374,47 @@ def q_scan(
     cfg: SeriesConfig = DEFAULT_CONFIG,
 ) -> QScanResult:
     """Maximize E|X + c1 (Pi_lam1 - lam1) + c2 (Pi_lam2 - lam2)|^q over a
-    log-spaced (c1, c2) grid of the two-atom constraint family.
+    log-spaced grid x grid of (c1, c2) in the two-atom constraint family.
 
     The lambda's are derived from the (A, B) constraints, never gridded.
-    Every evaluated cell is checked against the exact bound: exceeding it by
-    more than 1e-8 relative raises :class:`BoundExceeded`.  Ties for the
-    maximum resolve to the lexicographically smallest (c1, c2).
+    (c1, c2) and (c2, c1) are the same law, so each unordered pair is
+    evaluated once and its cell is mirrored, lambda's swapped, to the other
+    index.  Every evaluated cell is checked against the exact bound:
+    exceeding it by more than 1e-8 relative raises :class:`BoundExceeded`.
+    The best point lists its active atom first, so a one-atom law reports
+    as an axis point; ties for the maximum resolve to the lexicographically
+    smallest such (c1, c2).  ``grid`` must be an even integer >= 4.
     """
+    if grid < 4 or grid % 2 != 0:
+        raise ValueError(f"grid must be an even integer >= 4, got {grid}")
     if X is None:
         X = DiscreteRV.delta(0.0)
     reference = exact_bound(p, q, A, B, X, cfg)
     axis = scan_axis(reference.certificate.c, grid).tolist()  # the cells share these float objects
     allow = reference.value + 1e-8 * max(1.0, reference.value) + reference.error_budget
-    cells: list[ScanCell] = []
-    best_point: Optional[QPoint] = None
-    best_value = -math.inf
-    for c1 in axis:
-        for c2 in axis:
-            try:
-                point = q_point_from_c(p, A, B, c1, c2)
-            except SingularSystem:
-                cells.append(ScanCell(c1, c2, math.nan, math.nan, math.nan, "singular"))
-                continue
-            if point is None:
-                cells.append(ScanCell(c1, c2, math.nan, math.nan, math.nan, "infeasible"))
-                continue
-            w1, w2 = point.weights()
-            levy = LevyVarianceMeasure([(point.c1, w1), (point.c2, w2)])
-            try:
-                value = compound.cp_abs_moment_series(CompoundLaw(0.0, X, levy), q, cfg)
-            except TailNotConverged:
-                cells.append(
-                    ScanCell(point.c1, point.c2, point.lambda1, point.lambda2, math.nan, "overflow")
-                )
-                continue
-            cells.append(ScanCell(point.c1, point.c2, point.lambda1, point.lambda2, value, "evaluated"))
-            if value > allow:
+    n = len(axis)
+    cells: list = [None] * (n * n)
+    for i in range(n):
+        for j in range(i, n):
+            cell = _scan_cell(p, q, A, B, X, axis[i], axis[j], cfg)
+            if cell.status == "evaluated" and cell.value > allow:
                 raise BoundExceeded(
-                    f"scan value {value!r} at (c1={point.c1}, c2={point.c2}) exceeds "
+                    f"scan value {cell.value!r} at (c1={cell.c1}, c2={cell.c2}) exceeds "
                     f"exact bound {reference.value!r} beyond tolerance"
                 )
-            candidate = _canonical(point)
-            if value > best_value or (
-                value == best_value
-                and best_point is not None
-                and (candidate.c1, candidate.c2) < (best_point.c1, best_point.c2)
-            ):
-                best_value = value
-                best_point = candidate
-    if best_point is None:
+            cells[i * n + j] = cell
+            cells[j * n + i] = ScanCell(
+                cell.c2, cell.c1, cell.lambda2, cell.lambda1, cell.value, cell.status
+            )
+    # each cell's mirror is in the grid, so the cells whose first atom is active hold every law
+    active_first = (
+        c for c in cells if c.status == "evaluated" and (c.lambda1 > 0.0 or c.lambda2 == 0.0)
+    )
+    best = min(active_first, key=lambda c: (-c.value, c.c1, c.c2), default=None)
+    if best is None:
         raise SingularSystem("no feasible grid cell; widen the grid")
-    return QScanResult(best_point, best_value, reference.value, tuple(cells))
+    best_point = QPoint(best.c1, best.c2, best.lambda1, best.lambda2)
+    return QScanResult(best_point, best.value, reference.value, tuple(cells))
 
 
 @dataclass(frozen=True)

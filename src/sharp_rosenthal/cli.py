@@ -137,6 +137,8 @@ def _cmd_constants(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _series_config(args)
+    if args.p is None:  # tightness needs an even integer p; fuzz and qscan start at 5
+        args.p = 4.0 if args.suite == "tightness" else 5.0
     if args.suite == "fuzz":
         reports = fuzz_suite(args.cases, args.seed, args.p, args.q, cfg)
     elif args.suite == "domination":
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=("fuzz", "domination", "tightness", "variation", "qscan"))
     p_verify.add_argument("--cases", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--p", type=float, default=5.0)
+    p_verify.add_argument("--p", type=float, default=None, help="default 4 for tightness, else 5")
     p_verify.add_argument("--q", type=float, default=None)
     p_verify.add_argument("--A", type=float, default=1.0)
     p_verify.add_argument("--B", type=float, default=1.0)

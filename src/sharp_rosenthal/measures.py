@@ -16,11 +16,16 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
+from .errors import NotZeroMean
+
 #: Absolute tolerance for merging atom locations/values.
 ATOM_MERGE_TOL = 1e-12
 
 #: Tolerance on sum(prob) - 1 before probabilities are renormalized.
 PROB_DRIFT_TOL = 1e-12
+
+#: Largest |E X| accepted as a zero mean.
+ZERO_MEAN_TOL = 1e-10
 
 
 def _merge_atoms(pairs: Iterable[Tuple[float, float]], tol: float) -> list[tuple[float, float]]:
@@ -104,6 +109,13 @@ class DiscreteRV:
 def rv_mean(x: DiscreteRV) -> float:
     """E X = sum of value * prob."""
     return math.fsum(v * p for v, p in x.atoms)
+
+
+def require_zero_mean(X: DiscreteRV, what: str = "X") -> None:
+    """Raise :class:`NotZeroMean` unless |E X| <= ZERO_MEAN_TOL."""
+    mu = rv_mean(X)
+    if abs(mu) > ZERO_MEAN_TOL:
+        raise NotZeroMean(f"{what} must have mean 0 within {ZERO_MEAN_TOL}, got {mu}")
 
 
 def rv_abs_moment(x: DiscreteRV, q: float) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 from . import compound
 from .compound import CompoundLaw, _expect, _moment_grid, cp_part_moment_series
 from .errors import ExponentTooSmall, InfeasiblePath
-from .measures import DiscreteRV, LevyVarianceMeasure, SignedAtomMeasure, rv_mean
+from .measures import DiscreteRV, LevyVarianceMeasure, SignedAtomMeasure, require_zero_mean
 from .poisson import DEFAULT_CONFIG, SeriesConfig
 
 # Not called here: the benchmark's tracer wraps variation.gauss_legendre_01 by name.
@@ -241,8 +241,7 @@ def positivity_kernel(
     for name, val in (("u", u), ("alpha", alpha), ("s", s)):
         if not 0.0 < val <= 1.0:
             raise ValueError(f"{name} must be in (0, 1], got {val}")
-    if abs(rv_mean(X)) > 1e-10:
-        raise ValueError(f"X must be zero-mean, got mean {rv_mean(X)}")
+    require_zero_mean(X)
     if not H.atoms:
         raise ValueError("H must be nonzero")
     grid = _moment_grid(CompoundLaw(0.0, X, H), q - 4.0, cfg, alpha * s)
@@ -278,8 +277,7 @@ def variational_F(
         raise ValueError(f"b must be in [0, 1), got {b}")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must be in (0, 1], got {s}")
-    if abs(rv_mean(X)) > 1e-10:
-        raise ValueError(f"X must be zero-mean, got mean {rv_mean(X)}")
+    require_zero_mean(X)
     w = (1.0 - b ** (p - 3.0)) / (p - 3.0)
     # h(x) is the order-2 term at x, h'(x) the order-3 term
     terms = [(1.0 + w, 2, s), (-1.0 - w, 2, 0.0), (-w * s, 3, s)]

@@ -16,12 +16,13 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import compound
-from .bounds import _budget, exact_bound, require_zero_mean, solve_lambda_c
+from .bounds import _budget, exact_bound, solve_lambda_c
 from .compound import MAX_NONZERO_ATOMS, CompoundLaw
 from .errors import InfeasibleMass, NewtonDiverged, SupportTooLarge, TailNotConverged
 from .measures import (
     DiscreteRV,
     LevyVarianceMeasure,
+    require_zero_mean,
     rv_abs_moment,
     rv_convolve,
     rv_mean,

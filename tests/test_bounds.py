@@ -25,6 +25,7 @@ from sharp_rosenthal.bounds import (
     solve_lambda_c,
     symmetric_bound,
 )
+from sharp_rosenthal import compound
 from sharp_rosenthal.compound import CompoundLaw, cp_abs_moment_series
 from sharp_rosenthal.errors import NotZeroMean, SingularSystem, UnsupportedExponents
 from sharp_rosenthal.measures import DiscreteRV, LevyVarianceMeasure
@@ -365,9 +366,14 @@ class TestQScan:
         assert result.best_value == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("X", [D0, DiscreteRV([(-1.2, 0.3), (0.3, 0.4), (0.8, 0.3)])])
-    def test_swapped_cells_agree(self, X):
+    def test_swapped_cells_agree(self, X, monkeypatch):
         # (c1, c2) and (c2, c1) are the same law: same status, same value bit
-        # for bit
+        # for bit, and one series serves both
+        calls = []
+        series = compound.cp_abs_moment_series
+        monkeypatch.setattr(
+            compound, "cp_abs_moment_series", lambda *a, **k: calls.append(a) or series(*a, **k)
+        )
         result = q_scan(7.5, 6.5, 1.0, 1.0, X)
         cells = {(cell.c1, cell.c2): cell for cell in result.cells}
         for (c1, c2), cell in cells.items():
@@ -375,7 +381,17 @@ class TestQScan:
             assert cell.status == other.status, (c1, c2)
             if cell.status == "evaluated":
                 assert cell.value == other.value, (c1, c2)
+                assert (cell.lambda1, cell.lambda2) == (other.lambda2, other.lambda1), (c1, c2)
         assert result.counts() == {"singular": 40, "infeasible": 128, "evaluated": 232}
+        # two for the reference bound and one per unordered evaluated pair
+        assert len(calls) == 2 + 232 // 2
+
+    @pytest.mark.parametrize("grid", [21, 2, 1, 0, -3])
+    def test_grid_it_would_not_honour_refused(self, grid):
+        # the axis has 2 max(2, grid // 2) points, so only an even grid >= 4 is
+        # scanned as asked
+        with pytest.raises(ValueError, match="even integer"):
+            q_scan(5.0, 5.0, 1.0, 1.0, grid=grid)
 
     def test_low_regime_approach_from_below(self):
         result = q_scan(2.5, 2.5, 1.0, 1.0, grid=8)

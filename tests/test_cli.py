@@ -101,6 +101,8 @@ class TestRefusedInputs:
             (("accompany", "--p", "4", "--A", "1", "--B", "1", "--n", "16", "--tol", "1e-3"),
              "--tol"),
             (("verify", "fuzz", "--cases", "1", "--output", "json"), "--output"),
+            (("scan", "--p", "5", "--A", "1", "--B", "1", "--grid", "21"), "21"),
+            (("scan", "--p", "5", "--A", "1", "--B", "1", "--grid", "1"), "grid"),
         ],
     )
     def test_exit_parse(self, capsys, argv, named):
@@ -182,6 +184,16 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out.strip().splitlines()[-1])["status"] == "pass"
+
+    def test_bare_tightness_takes_p_4(self, capsys):
+        # the suites share --p; with none given, tightness takes the even p = 4
+        code, bare, _ = run_cli(capsys, "verify", "tightness")
+        assert code == EXIT_OK
+        assert bare == run_cli(capsys, "verify", "tightness", "--p", "4")[1]
+
+    def test_bare_fuzz_takes_p_5(self, capsys):
+        _, bare, _ = run_cli(capsys, "verify", "fuzz", "--cases", "3")
+        assert bare == run_cli(capsys, "verify", "fuzz", "--cases", "3", "--p", "5")[1]
 
 
 class TestDeterminism:

@@ -13,7 +13,7 @@ from sharp_rosenthal.compound import (
     cp_part_moment_contour,
     cp_part_moment_series,
 )
-from sharp_rosenthal.errors import ExponentTooSmall, InfeasiblePath
+from sharp_rosenthal.errors import ExponentTooSmall, InfeasiblePath, NotZeroMean
 from sharp_rosenthal.measures import DiscreteRV, LevyVarianceMeasure, SignedAtomMeasure
 from sharp_rosenthal.poisson import gaussian_part_moment
 from sharp_rosenthal.suites import (
@@ -184,6 +184,15 @@ class TestPositivityKernel:
                 for alpha in pts:
                     for s in pts:
                         assert positivity_kernel(u, alpha, s, q, q, D0, H) > 0.0
+
+
+def test_off_centre_x_refused():
+    # the zero-mean rule of the bounds, at the same tolerance and error type
+    X = DiscreteRV([(-0.9, 0.5), (1.1, 0.5)])
+    with pytest.raises(NotZeroMean):
+        positivity_kernel(0.5, 0.5, 0.5, 5.5, 5.5, X, H1)
+    with pytest.raises(NotZeroMean):
+        variational_F(0.5, 1.0, 5.5, 5.5, X, H1)
 
 
 class TestVariationalF:

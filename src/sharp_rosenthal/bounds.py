@@ -17,6 +17,7 @@ and are rejected with :class:`UnsupportedExponents`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -330,10 +331,7 @@ class QScanResult:
     cells: Tuple[ScanCell, ...]
 
     def counts(self) -> dict:
-        out: dict[str, int] = {}
-        for cell in self.cells:
-            out[cell.status] = out.get(cell.status, 0) + 1
-        return out
+        return dict(Counter(cell.status for cell in self.cells))
 
 
 def scan_axis(c: float, n: int) -> np.ndarray:
@@ -345,23 +343,31 @@ def scan_axis(c: float, n: int) -> np.ndarray:
     return np.sort(np.concatenate([-mags, mags]))
 
 
-def _scan_cell(
+def _scan_pair(
     p: float, q: float, A: float, B: float, X: DiscreteRV, c1: float, c2: float, cfg: SeriesConfig
-) -> ScanCell:
-    """The cell at (c1, c2): singular, infeasible, overflow or evaluated."""
+) -> tuple:
+    """(status, lambda1, lambda2, value at (c1, c2), value at (-c1, -c2)).
+
+    The weights read only |c1| and |c2|, and -(X + Y_{H^-}) has the law of
+    -X + Y_H: one grid of Y_H, summed at the atoms of X and of -X, gives both.
+    """
     try:
         point = q_point_from_c(p, A, B, c1, c2)
     except SingularSystem:
-        return ScanCell(c1, c2, math.nan, math.nan, math.nan, "singular")
+        return "singular", math.nan, math.nan, math.nan, math.nan
     if point is None:
-        return ScanCell(c1, c2, math.nan, math.nan, math.nan, "infeasible")
+        return "infeasible", math.nan, math.nan, math.nan, math.nan
     w1, w2 = point.weights()
-    levy = LevyVarianceMeasure([(c1, w1), (c2, w2)])
+    pure = CompoundLaw.pure(LevyVarianceMeasure([(c1, w1), (c2, w2)]))
+    xs = X.values
     try:
-        value = compound.cp_abs_moment_series(CompoundLaw(0.0, X, levy), q, cfg)
+        evaluate = compound.ShiftedMomentEvaluator(pure, q, np.abs(xs).max(), cfg)
     except TailNotConverged:
-        return ScanCell(c1, c2, point.lambda1, point.lambda2, math.nan, "overflow")
-    return ScanCell(c1, c2, point.lambda1, point.lambda2, value, "evaluated")
+        return "overflow", point.lambda1, point.lambda2, math.nan, math.nan
+    # one call per sign: a one-row sum takes the series engine's dot product,
+    # so with X = 0 both values are bit for bit cp_abs_moment_series's
+    value, mirror = (float(evaluate(shifts) @ X.probs) for shifts in (xs, -xs))
+    return "evaluated", point.lambda1, point.lambda2, value, mirror
 
 
 def q_scan(
@@ -377,9 +383,10 @@ def q_scan(
     log-spaced grid x grid of (c1, c2) in the two-atom constraint family.
 
     The lambda's are derived from the (A, B) constraints, never gridded.
-    (c1, c2) and (c2, c1) are the same law, so each unordered pair is
-    evaluated once and its cell is mirrored, lambda's swapped, to the other
-    index.  Every evaluated cell is checked against the exact bound:
+    The cells come in classes of four with one grid each: (c1, c2) and
+    (c2, c1) are the same law, and (-c1, -c2), on the grid as the axis is
+    symmetric, comes from the same grid of Y_H (:func:`_scan_pair`).  Every
+    evaluated cell is checked against the exact bound:
     exceeding it by more than 1e-8 relative raises :class:`BoundExceeded`.
     The best point lists its active atom first, so a one-atom law reports
     as an axis point; ties for the maximum resolve to the lexicographically
@@ -394,18 +401,18 @@ def q_scan(
     allow = reference.value + 1e-8 * max(1.0, reference.value) + reference.error_budget
     n = len(axis)
     cells: list = [None] * (n * n)
+    # axis[n - 1 - k] is -axis[k], so i <= j with i + j <= n - 1 visits every class
     for i in range(n):
-        for j in range(i, n):
-            cell = _scan_cell(p, q, A, B, X, axis[i], axis[j], cfg)
-            if cell.status == "evaluated" and cell.value > allow:
-                raise BoundExceeded(
-                    f"scan value {cell.value!r} at (c1={cell.c1}, c2={cell.c2}) exceeds "
-                    f"exact bound {reference.value!r} beyond tolerance"
-                )
-            cells[i * n + j] = cell
-            cells[j * n + i] = ScanCell(
-                cell.c2, cell.c1, cell.lambda2, cell.lambda1, cell.value, cell.status
-            )
+        for j in range(i, n - i):
+            status, lam1, lam2, value, mirror = _scan_pair(p, q, A, B, X, axis[i], axis[j], cfg)
+            for a, b, v in ((i, j, value), (n - 1 - i, n - 1 - j, mirror)):
+                if status == "evaluated" and v > allow:
+                    raise BoundExceeded(
+                        f"scan value {v!r} at (c1={axis[a]}, c2={axis[b]}) exceeds "
+                        f"exact bound {reference.value!r} beyond tolerance"
+                    )
+                cells[a * n + b] = ScanCell(axis[a], axis[b], lam1, lam2, v, status)
+                cells[b * n + a] = ScanCell(axis[b], axis[a], lam2, lam1, v, status)
     # each cell's mirror is in the grid, so the cells whose first atom is active hold every law
     active_first = (
         c for c in cells if c.status == "evaluated" and (c.lambda1 > 0.0 or c.lambda2 == 0.0)

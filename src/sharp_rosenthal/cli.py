@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bounds as bnd
@@ -44,7 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _series_config(args) -> SeriesConfig:
-    return SeriesConfig(tol=args.tol, max_terms=args.max_terms)
+    """--tol and --max-terms; an absent flag takes DEFAULT_CONFIG's value."""
+    given = {"tol": args.tol, "max_terms": args.max_terms}
+    return SeriesConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _q(args) -> float:
@@ -99,6 +102,8 @@ def _cmd_bound(args) -> int:
     if args.mode == "even":
         if args.x != "zero" or _q(args) != args.p:
             raise ValueError("--mode even is the closed form for --x zero and q = p")
+        if args.tol is not None or args.max_terms is not None:
+            raise ValueError("--mode even is a closed form; it reads no --tol or --max-terms")
         result = bnd.even_p_bound(args.p, args.A, args.B)
     elif args.mode == "symmetric":
         result = bnd.symmetric_bound(args.p, _q(args), args.A, args.B, X, cfg)
@@ -136,25 +141,10 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _series_config(args)
-    if args.p is None:  # tightness needs an even integer p; fuzz and qscan start at 5
-        args.p = 4.0 if args.suite == "tightness" else 5.0
-    if args.suite == "fuzz":
-        reports = fuzz_suite(args.cases, args.seed, args.p, args.q, cfg)
-    elif args.suite == "domination":
-        reports = domination_suite(args.cases, args.seed, args.q if args.q is not None else 5.0, cfg)
-    elif args.suite == "tightness":
-        reports = tightness_suite(args.p, args.A, args.B)
-    elif args.suite == "variation":
-        reports = variation_suite(args.cases, args.seed, cfg)
-    else:  # qscan
-        reports = qscan_suite(args.p, _q(args), args.A, args.B, args.grid, cfg)
-    failed = 0
+    reports = args.run(args)
     for report in reports:
         _emit_record(report.to_json_dict(), "json")
-        if report.status == "fail":
-            failed += 1
-    return EXIT_CASE_FAILED if failed else EXIT_OK
+    return EXIT_CASE_FAILED if any(r.status == "fail" for r in reports) else EXIT_OK
 
 
 def _cmd_scan(args) -> int:
@@ -201,8 +191,8 @@ def _cmd_accompany(args) -> int:
 
 
 def _add_series(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tol, help="series tolerance")
-    parser.add_argument("--max-terms", type=int, default=DEFAULT_CONFIG.max_terms, dest="max_terms")
+    parser.add_argument("--tol", type=float, help=f"series tolerance, default {DEFAULT_CONFIG.tol}")
+    parser.add_argument("--max-terms", type=int, dest="max_terms")
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -233,16 +223,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.set_defaults(func=_cmd_constants)
 
     p_verify = sub.add_parser("verify", help="verification suites; one JSONL line per case")
-    p_verify.add_argument("suite", choices=("fuzz", "domination", "tightness", "variation", "qscan"))
-    p_verify.add_argument("--cases", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--p", type=float, default=None, help="default 4 for tightness, else 5")
-    p_verify.add_argument("--q", type=float, default=None)
-    p_verify.add_argument("--A", type=float, default=1.0)
-    p_verify.add_argument("--B", type=float, default=1.0)
-    p_verify.add_argument("--grid", type=int, default=20)
-    _add_series(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
+    # each suite takes only the flags it reads, with its own defaults
+    suites = p_verify.add_subparsers(metavar="suite", required=True)
+    names = ("fuzz", "domination", "tightness", "variation", "qscan")
+    fuzz, dom, tight, var, qscan = (suites.add_parser(name) for name in names)
+    for suite in (fuzz, dom, var):
+        suite.add_argument("--cases", type=int, default=100)
+        suite.add_argument("--seed", type=int, default=0)
+    for suite, p in ((fuzz, 5.0), (tight, 4.0), (qscan, 5.0)):
+        suite.add_argument("--p", type=float, default=p, help=f"default {p:g}")
+    for suite in (fuzz, qscan):
+        suite.add_argument("--q", type=float, default=None, help="default p")
+    dom.add_argument("--q", type=float, default=5.0)
+    for suite in (tight, qscan):
+        suite.add_argument("--A", type=float, default=1.0)
+        suite.add_argument("--B", type=float, default=1.0)
+    qscan.add_argument("--grid", type=int, default=20)
+    for suite in (fuzz, dom, var, qscan):
+        _add_series(suite)
+    fuzz.set_defaults(run=lambda a: fuzz_suite(a.cases, a.seed, a.p, a.q, _series_config(a)))
+    dom.set_defaults(run=lambda a: domination_suite(a.cases, a.seed, a.q, _series_config(a)))
+    tight.set_defaults(run=lambda a: tightness_suite(a.p, a.A, a.B))
+    var.set_defaults(run=lambda a: variation_suite(a.cases, a.seed, _series_config(a)))
+    qscan.set_defaults(run=lambda a: qscan_suite(a.p, _q(a), a.A, a.B, a.grid, _series_config(a)))
 
     p_scan = sub.add_parser("scan", help="two-atom family grid scan")
     p_scan.add_argument("--p", type=float, required=True)
@@ -282,7 +286,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): stop quietly, and send the flush
+        # at exit to devnull so it cannot fail again (Python docs, SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CASE_FAILED
     except UnsupportedExponents as exc:
         print(f"unsupported exponents: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

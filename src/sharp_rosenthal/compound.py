@@ -11,10 +11,10 @@ envelopes bound each discarded tail) and weights the residual means with the
 closed-form Gaussian moment.  One kernel, ``_expect``, computes every series
 moment -- of the kind "abs", "positive" or "negative": the absolute moment
 and the two parts -- for a row of shifts of one certified grid, one
-Gaussian call per block of shifts; a single moment is the unshifted row.
-The variations of :mod:`.variation` call it directly, so
-:class:`ShiftedMomentEvaluator`, a thin shell over the same grid and
-kernel, has no caller in the program.  The *contour* engine
+Gaussian call per block of shifts; a single moment is the row of the one
+shift 0.  The variations of :mod:`.variation` call it directly, and the
+two-atom scan of :mod:`.bounds` through :class:`ShiftedMomentEvaluator`,
+a thin shell over the same grid and kernel.  The *contour* engine
 evaluates the Fourier-Laplace identity
     E (x0+X+Y_H)_+^q = Gamma(q+1)/(2*pi*i) int_{Re z=sigma} dz z^{-(q+1)} M(z)
 on the vertical line Re z = sigma > 0 with the principal branch of z^{q+1};
@@ -275,22 +275,16 @@ def _moment_grid(
     return grid
 
 
-def _expect(
-    grid: _LawGrid, q: float, kind: str, shifts: np.ndarray | None = None
-) -> np.ndarray:
+def _expect(grid: _LawGrid, q: float, kind: str, shifts: np.ndarray) -> np.ndarray:
     """sum_j p_j E f(x + v_j + sd Z) for each shift x of a 1-D array.
 
     ``kind`` selects f among |.|^q ("abs"), (.)_+^q ("positive") and
     (.)_-^q ("negative"); v_j is the residual mean of grid point j and p_j
-    its weight.  ``None`` is the single unshifted row, summed over the v_j
-    themselves.  Shifts run in blocks of at most 2^23 shift x grid points,
+    its weight.  Shifts run in blocks of at most 2^23 shift x grid points,
     one Gaussian call per block.
     """
-    if shifts is None:
-        blocks = (grid.values[None, :],)
-    else:
-        size = max(1, (1 << 23) // max(1, grid.values.size))
-        blocks = (shifts[i : i + size, None] + grid.values for i in range(0, shifts.size, size))
+    size = max(1, (1 << 23) // max(1, grid.values.size))
+    blocks = (shifts[i : i + size, None] + grid.values for i in range(0, shifts.size, size))
     sums = []
     for pts in blocks:
         if grid.sd > 0.0:
@@ -314,7 +308,7 @@ def _expect(
 def cp_abs_moment_series(law: CompoundLaw, q: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """E|x0 + X + Y_H|^q by nested certified summation."""
     grid = _moment_grid(law, q, cfg)
-    return float(_expect(grid, q, "abs")[0])
+    return float(_expect(grid, q, "abs", np.zeros(1))[0])
 
 
 def cp_part_moment_series(
@@ -324,7 +318,7 @@ def cp_part_moment_series(
     if kind not in ("positive", "negative"):
         raise ValueError(f"kind must be 'positive' or 'negative', got {kind!r}")
     grid = _moment_grid(law, q, cfg)
-    return float(_expect(grid, q, kind)[0])
+    return float(_expect(grid, q, kind, np.zeros(1))[0])
 
 
 class ShiftedMomentEvaluator:

@@ -308,26 +308,12 @@ def qscan_suite(
     extremal scale with the second intensity zero).
     """
     result = q_scan(p, q, A, B, grid=grid, cfg=cfg)
-    best = result.best_point
-    within = result.best_value <= result.reference_bound + 1e-8 * max(1.0, result.reference_bound)
+    best, value, bound = result.best_point, result.best_value, result.reference_bound
+    within = value <= bound + 1e-8 * max(1.0, bound)
     if p >= 5.0:
         c = solve_lambda_c(p, A, B).c
-        at_axis = (
-            abs(abs(best.c1) - c) <= 1e-12 * c
-            and best.lambda2 == 0.0
-        )
+        at_axis = abs(abs(best.c1) - c) <= 1e-12 * c and best.lambda2 == 0.0
     else:
         at_axis = True
     status = "pass" if (within and at_axis) else "fail"
-    return [
-        CaseReport(
-            f"qscan-{p}-{q}",
-            grid,
-            p,
-            q,
-            result.best_value,
-            result.reference_bound,
-            result.reference_bound - result.best_value,
-            status,
-        )
-    ]
+    return [CaseReport(f"qscan-{p}-{q}", grid, p, q, value, bound, bound - value, status)]

@@ -1,6 +1,8 @@
 """Exact bound formulas, certificates, scans, and their cross-identities."""
 
+import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -25,14 +27,20 @@ from sharp_rosenthal.bounds import (
     solve_lambda_c,
     symmetric_bound,
 )
-from sharp_rosenthal import compound
+from sharp_rosenthal import bounds, compound
 from sharp_rosenthal.compound import CompoundLaw, cp_abs_moment_series
-from sharp_rosenthal.errors import NotZeroMean, SingularSystem, UnsupportedExponents
+from sharp_rosenthal.errors import (
+    BoundExceeded,
+    NotZeroMean,
+    SingularSystem,
+    UnsupportedExponents,
+)
 from sharp_rosenthal.measures import DiscreteRV, LevyVarianceMeasure
 from sharp_rosenthal.poisson import gaussian_abs_moment, skellam_abs_moment_about
 from sharp_rosenthal.verify import random_zero_mean_rv
 
 D0 = DiscreteRV.delta(0.0)
+X3 = DiscreteRV([(-1.2, 0.3), (0.3, 0.4), (0.8, 0.3)])
 
 
 def gauss_abs_q(q: float) -> float:
@@ -365,15 +373,22 @@ class TestQScan:
         reference = exact_bound(6.6, 6.6, 1.0, 1.0).value
         assert result.best_value == pytest.approx(reference, rel=1e-12)
 
-    @pytest.mark.parametrize("X", [D0, DiscreteRV([(-1.2, 0.3), (0.3, 0.4), (0.8, 0.3)])])
+    @pytest.mark.parametrize("X", [D0, X3])
     def test_swapped_cells_agree(self, X, monkeypatch):
         # (c1, c2) and (c2, c1) are the same law: same status, same value bit
-        # for bit, and one series serves both
-        calls = []
+        # for bit, and one grid serves them and their sign mirrors
+        calls, builds = [], []
         series = compound.cp_abs_moment_series
         monkeypatch.setattr(
             compound, "cp_abs_moment_series", lambda *a, **k: calls.append(a) or series(*a, **k)
         )
+
+        class Counted(compound.ShiftedMomentEvaluator):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(compound, "ShiftedMomentEvaluator", Counted)
         result = q_scan(7.5, 6.5, 1.0, 1.0, X)
         cells = {(cell.c1, cell.c2): cell for cell in result.cells}
         for (c1, c2), cell in cells.items():
@@ -383,8 +398,52 @@ class TestQScan:
                 assert cell.value == other.value, (c1, c2)
                 assert (cell.lambda1, cell.lambda2) == (other.lambda2, other.lambda1), (c1, c2)
         assert result.counts() == {"singular": 40, "infeasible": 128, "evaluated": 232}
-        # two for the reference bound and one per unordered evaluated pair
-        assert len(calls) == 2 + 232 // 2
+        # two series for the reference bound and one grid per class of four cells
+        assert len(calls) == 2
+        assert len(builds) == 232 // 4
+
+    @pytest.mark.parametrize("X", [D0, DiscreteRV.rademacher()])
+    def test_sign_mirrored_cells_agree_for_symmetric_x(self, X):
+        # the cell (-c1, -c2) with X is (c1, c2) with -X, which has the law of X
+        result = q_scan(7.5, 6.5, 1.0, 1.0, X)
+        cells = {(cell.c1, cell.c2): cell for cell in result.cells}
+        for (c1, c2), cell in cells.items():
+            other = cells[(-c1, -c2)]
+            assert cell.status == other.status, (c1, c2)
+            if cell.status == "evaluated":
+                assert cell.value == other.value, (c1, c2)
+                assert (cell.lambda1, cell.lambda2) == (other.lambda1, other.lambda2), (c1, c2)
+
+    def test_cells_match_their_own_law(self):
+        # each cell, its swap and its sign mirror against a series of its own law
+        result = q_scan(7.5, 6.5, 1.0, 1.0, X3)
+        evaluated = [cell for cell in result.cells if cell.status == "evaluated"]
+        assert len(evaluated) == 232
+        for cell in evaluated:
+            w1, w2 = q_point_from_c(7.5, 1.0, 1.0, cell.c1, cell.c2).weights()
+            law = CompoundLaw(0.0, X3, LevyVarianceMeasure([(cell.c1, w1), (cell.c2, w2)]))
+            assert cell.value == pytest.approx(cp_abs_moment_series(law, 6.5), rel=1e-14, abs=0)
+
+    def test_low_reference_raises(self, monkeypatch):
+        exact = bounds.exact_bound
+        monkeypatch.setattr(
+            bounds, "exact_bound", lambda *a: dataclasses.replace(exact(*a), value=1.0)
+        )
+        with pytest.raises(BoundExceeded, match="exceeds exact bound 1.0 "):
+            q_scan(5.5, 5.2, 1.3, 1.0, X3)
+
+    def test_mirror_value_alone_can_raise(self, monkeypatch):
+        # the atoms of X3 start negative, so the mirror's shifts -X3 start
+        # positive; only its values are doubled, and the raise names a mirror
+        # cell, whose c1 is positive where the visited cell's is negative
+        class MirrorDoubled(compound.ShiftedMomentEvaluator):
+            def __call__(self, shifts):
+                return super().__call__(shifts) * (2.0 if shifts[0] > 0.0 else 1.0)
+
+        monkeypatch.setattr(compound, "ShiftedMomentEvaluator", MirrorDoubled)
+        with pytest.raises(BoundExceeded) as info:
+            q_scan(5.5, 5.2, 1.3, 1.0, X3)
+        assert float(re.search(r"\(c1=(\S+),", str(info.value)).group(1)) > 0.0
 
     @pytest.mark.parametrize("grid", [21, 2, 1, 0, -3])
     def test_grid_it_would_not_honour_refused(self, grid):

@@ -1,9 +1,13 @@
 """Command-line behaviour: outputs, exit codes, determinism, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sharp_rosenthal
 from sharp_rosenthal.cli import EXIT_CASE_FAILED, EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, main
 
 
@@ -103,6 +107,15 @@ class TestRefusedInputs:
             (("verify", "fuzz", "--cases", "1", "--output", "json"), "--output"),
             (("scan", "--p", "5", "--A", "1", "--B", "1", "--grid", "21"), "21"),
             (("scan", "--p", "5", "--A", "1", "--B", "1", "--grid", "1"), "grid"),
+            # each verify suite takes only the flags it reads
+            (("verify", "domination", "--cases", "2", "--p", "9"), "--p 9"),
+            (("verify", "tightness", "--tol", "1e-3"), "--tol"),
+            (("verify", "variation", "--cases", "2", "--q", "6"), "--q 6"),
+            (("verify", "qscan", "--cases", "2"), "--cases"),
+            (("bound", "--mode", "even", "--p", "4", "--A", "1", "--B", "1", "--tol", "1e-9"),
+             "--tol"),
+            (("bound", "--mode", "even", "--p", "4", "--A", "1", "--B", "1", "--max-terms", "99"),
+             "--max-terms"),
         ],
     )
     def test_exit_parse(self, capsys, argv, named):
@@ -186,7 +199,7 @@ class TestVerifyCommand:
         assert json.loads(out.strip().splitlines()[-1])["status"] == "pass"
 
     def test_bare_tightness_takes_p_4(self, capsys):
-        # the suites share --p; with none given, tightness takes the even p = 4
+        # with no --p, tightness takes the even p = 4
         code, bare, _ = run_cli(capsys, "verify", "tightness")
         assert code == EXIT_OK
         assert bare == run_cli(capsys, "verify", "tightness", "--p", "4")[1]
@@ -194,6 +207,22 @@ class TestVerifyCommand:
     def test_bare_fuzz_takes_p_5(self, capsys):
         _, bare, _ = run_cli(capsys, "verify", "fuzz", "--cases", "3")
         assert bare == run_cli(capsys, "verify", "fuzz", "--cases", "3", "--p", "5")[1]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_stops_quietly(self, unbuffered):
+        # a reader that stops early, as `| head -c 10` does, closes the pipe;
+        # closing it before any output makes the first write fail: at the
+        # final flush when stdout is buffered, at the first print when not
+        src = os.path.dirname(os.path.dirname(sharp_rosenthal.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        argv = [sys.executable, "-m", "sharp_rosenthal.cli", "verify", "fuzz", "--cases", "2"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == EXIT_CASE_FAILED
+        assert err == ""
 
 
 class TestDeterminism:

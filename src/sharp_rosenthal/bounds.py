@@ -89,8 +89,10 @@ class BoundResult:
 def _budget(value: float, cfg: SeriesConfig, n_series: int = 1) -> float:
     """Aggregate series tolerances and rounding.
 
-    The rounding term charges one ulp per grid point at a generous fixed
-    count, so fuzz-test slacks have a principled floor.
+    The rounding term charges one ulp per grid point at a fixed count of
+    4096, so fuzz-test slacks have a principled floor.  A dot product over
+    n points can round by up to about n*eps relative, so the term bounds
+    the worst case only on grids of at most 4096 points.
     """
     eps = np.finfo(float).eps
     return n_series * cfg.tol + 4096.0 * eps * max(1.0, abs(value))
@@ -364,8 +366,8 @@ def _scan_pair(
         evaluate = compound.ShiftedMomentEvaluator(pure, q, np.abs(xs).max(), cfg)
     except TailNotConverged:
         return "overflow", point.lambda1, point.lambda2, math.nan, math.nan
-    # one call per sign: a one-row sum takes the series engine's dot product,
-    # so with X = 0 both values are bit for bit cp_abs_moment_series's
+    # each row is summed alone, so with X = 0 both values are bit for bit
+    # cp_abs_moment_series's
     value, mirror = (float(evaluate(shifts) @ X.probs) for shifts in (xs, -xs))
     return "evaluated", point.lambda1, point.lambda2, value, mirror
 

@@ -281,27 +281,18 @@ def _expect(grid: _LawGrid, q: float, kind: str, shifts: np.ndarray) -> np.ndarr
     ``kind`` selects f among |.|^q ("abs"), (.)_+^q ("positive") and
     (.)_-^q ("negative"); v_j is the residual mean of grid point j and p_j
     its weight.  Shifts run in blocks of at most 2^23 shift x grid points,
-    one Gaussian call per block.
+    one Gaussian call per block, and each row is summed by its own dot
+    product, so a value never depends on the other shifts of its call.
     """
     size = max(1, (1 << 23) // max(1, grid.values.size))
-    blocks = (shifts[i : i + size, None] + grid.values for i in range(0, shifts.size, size))
     sums = []
-    for pts in blocks:
-        if grid.sd > 0.0:
-            if kind == "abs":
-                moments = gaussian_abs_moment(pts, grid.sd, q)
-            else:
-                moments = gaussian_part_moment(pts, grid.sd, q, kind)
-            sums.append(np.array([math.fsum(row.tolist()) for row in moments * grid.probs]))
-            continue
+    for i in range(0, shifts.size, size):
+        pts = shifts[i : i + size, None] + grid.values
         if kind == "abs":
-            weights = np.abs(pts) ** q
-        elif kind == "positive":
-            weights = np.clip(pts, 0.0, None) ** q
+            moments = gaussian_abs_moment(pts, grid.sd, q)
         else:
-            weights = np.clip(-pts, 0.0, None) ** q
-        # a (1, n) matmul goes to multithreaded BLAS gemv, which can stall
-        sums.append(np.dot(weights[0], grid.probs)[None] if len(weights) == 1 else weights @ grid.probs)
+            moments = gaussian_part_moment(pts, grid.sd, q, kind)
+        sums.append(np.vecdot(moments, grid.probs))
     return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
@@ -327,7 +318,8 @@ class ShiftedMomentEvaluator:
     ``kind`` selects f among |.|^q ("abs"), (.)_+^q ("positive") and
     (.)_-^q ("negative").  The grid is certified uniformly over
     |shift| <= shift_bound.  A shell over ``_moment_grid`` and ``_expect``
-    that checks each shift against the bound.
+    that checks each shift against the bound.  One dot product per row, so
+    a value never depends on the other shifts of its call.
     """
 
     def __init__(

@@ -19,7 +19,11 @@ Bernstein or sub-Gaussian edge -- starts one search, exponential outward
 from the guess and then bisection, which usually makes two tests.  The
 guess moves only the number of tests, never the cutoff.  The window is
 O(sqrt(lambda)) wide.  Poisson probabilities are computed in log space so
-intensities up to 1e4 are handled without overflow.
+intensities up to 1e4 are handled without overflow.  Accuracy is lost
+sooner: the exponent k log lambda - lgamma(k + 1) rounds by about
+|k log lambda| eps, a relative error near 1e-12 at lambda ~ 7e3 that every
+moment over the atom inherits; at lambda ~ 2e5 a moment is off by hundreds
+of times its error budget.
 
 Gaussian moments have closed forms, vectorized over the mean: the absolute
 moment through Kummer's 1F1 and the part moments through the parabolic
@@ -449,7 +453,7 @@ def gaussian_part_moment(mean, sd: float, q: float, kind: str):
     if kind == "negative":
         m = -m
     if sd == 0.0:
-        return _as_result(np.clip(m, 0.0, None) ** q, mean)
+        return _as_result(np.maximum(m, 0.0) ** q, mean)
     mu = m / sd
     out = _std_small_side(np.abs(mu), q)
     large = mu > 0.0

@@ -158,6 +158,18 @@ class TestSeriesEngine:
         for s, expected in zip(shifts, batch):
             single = cp_abs_moment_series(CompoundLaw(law.x0 + s, law.background, law.levy), 3.5)
             assert single == pytest.approx(expected, rel=1e-10)
+        # a moment is bit for bit the series engine's, whatever shares its call
+        law = CompoundLaw.pure(LevyVarianceMeasure([(-1.0, 1.0)]))
+        pair = ShiftedMomentEvaluator(law, 5.0, 0.0)(np.array([0.0, -0.0]))
+        assert pair[0] == cp_abs_moment_series(law, 5.0)
+        # 8 379 grid points make blocks of 1 001 shifts; the shifts on either
+        # side of the first block edge match single calls
+        law = CompoundLaw.pure(LevyVarianceMeasure([(0.7, 0.5), (-0.7, 0.5), (1.3, 1.0)]))
+        evaluate = ShiftedMomentEvaluator(law, 5.0, 1.0)
+        assert (1 << 23) // evaluate._grid.values.size == 1001
+        shifts = np.linspace(-1.0, 1.0, 1004)
+        edge = evaluate(shifts)[999:1003]
+        assert edge.tolist() == [evaluate(shifts[k : k + 1])[0] for k in range(999, 1003)]
 
     def test_evaluator_shift_bound(self):
         law = CompoundLaw.pure(LevyVarianceMeasure([(1.0, 0.8), (0.0, 0.3)]))
@@ -211,11 +223,25 @@ class TestSeriesEngine:
                 law = CompoundLaw(law.x0, law.background, levy)
             q = float(rng.uniform(2.1, 7.0))
             shifts = rng.uniform(-2.0, 2.0, size=5)
-            for kind in ("positive", "negative"):
+            for kind in ("abs", "positive", "negative"):
                 batch = ShiftedMomentEvaluator(law, q, 2.0, kind=kind)(shifts)
                 for s, value in zip(shifts, batch):
-                    single = cp_part_moment_series(law.shifted(float(s)), q, kind)
+                    shifted = law.shifted(float(s))
+                    if kind == "abs":
+                        single = cp_abs_moment_series(shifted, q)
+                    else:
+                        single = cp_part_moment_series(shifted, q, kind)
                     assert value == pytest.approx(single, rel=1e-10, abs=1e-12)
+        # on a grid of over 1 000 points a value does not depend on the
+        # other shifts of its call, to the last bit
+        atoms = [(0.3, 0.5), (-1.1, 0.9)] + ([(0.0, 0.2)] if gaussian else [])
+        law = CompoundLaw(0.0, DiscreteRV.two_point_zero_mean(-0.8, 1.2), LevyVarianceMeasure(atoms))
+        assert _moment_grid(law, 5.5, DEFAULT_CONFIG, 2.0).values.size >= 1000
+        xs = np.linspace(-2.0, 2.0, 7)
+        for kind in ("abs", "positive", "negative"):
+            evaluate = ShiftedMomentEvaluator(law, 5.5, 2.0, kind=kind)
+            batch = evaluate(xs)
+            assert [evaluate(xs[k : k + 1])[0] for k in range(xs.size)] == batch.tolist()
 
 
 def _multi_exponent_draw(rng, kappa, gaussian):

@@ -366,9 +366,9 @@ def _scan_pair(
         evaluate = compound.ShiftedMomentEvaluator(pure, q, np.abs(xs).max(), cfg)
     except TailNotConverged:
         return "overflow", point.lambda1, point.lambda2, math.nan, math.nan
-    # each row is summed alone, so with X = 0 both values are bit for bit
-    # cp_abs_moment_series's
-    value, mirror = (float(evaluate(shifts) @ X.probs) for shifts in (xs, -xs))
+    # each row is summed alone, so one call gives what two would, bit for bit
+    rows = evaluate(np.concatenate((xs, -xs))).reshape(2, -1)
+    value, mirror = np.vecdot(rows, X.probs).tolist()
     return "evaluated", point.lambda1, point.lambda2, value, mirror
 
 

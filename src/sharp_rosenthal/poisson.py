@@ -119,12 +119,6 @@ def _certified(
     return log_first - math.log(-math.expm1(log_ratio)) <= log_tol
 
 
-#: Below this intensity each index past the mean costs the envelope a factor
-#: lam, so the window ends within a few indices of the mean; a search from
-#: the mean itself makes as few tests there as one from any computed guess.
-_SEARCH_FROM_MEAN = 1e-8
-
-
 def _envelope_excess(
     lam: float, q: float, log_tol: float, offset: float, log_scale: float
 ) -> float:
@@ -133,19 +127,6 @@ def _envelope_excess(
     pmf at the mode taken as 1/sqrt(1 + 2 pi lam)."""
     peak = log_scale + q * math.log(offset + math.sqrt(lam)) - 0.5 * math.log1p(2.0 * math.pi * lam)
     return max(peak - log_tol, 0.0)
-
-
-def _settled(x: float, step: float, slope: float, lam: float, q: float, offset: float) -> bool:
-    """Whether a Newton step of :func:`_guess` above the mean that ended at x
-    left less than half an index to the root, about |l''| step^2 / (2 |slope|)
-    for the log-envelope's curvature |l''| ~ 1/(x + 1/2) + q/d^2 between the
-    last two iterates; or whether x is at or before the first index past the
-    mean."""
-    if x <= lam + 1.0:
-        return True
-    mid = x + 0.5 * step
-    d = offset + mid - lam
-    return (1.0 / (mid + 0.5) + q / (d * d)) * step * step < -slope
 
 
 def _guess(
@@ -160,16 +141,11 @@ def _guess(
     edge of the law (e the envelope's excess over tol near the mean):
     Bernstein's lam + e/3 + sqrt(e^2/9 + 2 lam e) plus one index above the
     mean, the sub-Gaussian lam - sqrt(2 lam e) below it.  Up to two steps,
-    stopping once the ratio reaches 1 or phi stops falling outward, and above
-    the mean once a step settles (:func:`_settled`; below the mean that
-    stop cost more tests than it saved).  Rounded inward by half an index,
-    an estimate within half an index of the root lands on j or j - 1, from
-    either of which the search makes two tests.  Below lam = 1 the head is
-    index 0 alone, and below lam = 1e-8 (:data:`_SEARCH_FROM_MEAN`) the
-    tail ends within a few indices of the mean; the guess there is j = 0.
+    stopping once the iterate leaves the envelope's domain, the ratio
+    reaches 1 or phi stops falling outward.  Rounded inward by half an
+    index, an estimate within half an index of the root lands on j or
+    j - 1, from either of which the search makes two tests.
     """
-    if lam < _SEARCH_FROM_MEAN or (side < 0 and lam < 1.0):
-        return 0
     e = _envelope_excess(lam, q, log_tol, offset, log_scale)
     if side > 0:
         x = lam + e / 3.0 + math.sqrt(e * e / 9.0 + 2.0 * lam * e) + 1.0
@@ -186,8 +162,6 @@ def _guess(
         log_term = log_scale + x * log_lam - lam - math.lgamma(x + 1.0) + q * math.log(d)
         step = (log_term - math.log(-math.expm1(log_ratio)) - log_tol) / slope
         x -= step
-        if side > 0 and _settled(x, step, slope, lam, q, offset):
-            break
     return math.ceil(side * (x - math.ceil(lam)) - 1.5)
 
 

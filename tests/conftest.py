@@ -1,10 +1,15 @@
 """Shared brute-force oracles, kept deliberately independent of the package
-engines they check: plain scipy pmf grids and direct summation only."""
+engines they check: plain scipy pmf grids and direct summation, and exact
+integer moments from cumulants in mpmath."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
+from sharp_rosenthal.compound import CompoundLaw
 from sharp_rosenthal.measures import DiscreteRV, LevyVarianceMeasure
 from sharp_rosenthal.poisson import SeriesConfig
 
@@ -54,6 +59,30 @@ def brute_compound_abs(X: DiscreteRV, atoms, q: float) -> float:
         values = np.add.outer(values, c * (ks - lam)).ravel()
         probs = np.multiply.outer(probs, stats.poisson.pmf(ks, lam)).ravel()
     return float(probs @ np.abs(values) ** q)
+
+
+def exact_integer_moment(law: CompoundLaw, n: int) -> mpmath.mpf:
+    """E(x0 + X + Y_H)^n for an integer n >= 0, at 50 digits, from no series.
+
+    Y_H has cumulants kappa_1 = 0 and kappa_j = sum_u H({u}) u^(j-2) for
+    j >= 2 (a Gaussian part is the atom u = 0, which adds to kappa_2 only),
+    its moments follow from m_j = sum_{i<j} C(j-1, i) kappa_{i+1} m_{j-1-i},
+    and the binomial expansion over the atoms of x0 + X adds the rest.  For
+    even n this is the absolute moment E|x0 + X + Y_H|^n.
+    """
+    with mpmath.workdps(50):
+        atoms = [(mpmath.mpf(u), mpmath.mpf(w)) for u, w in law.levy.atoms]
+        kappa = [mpmath.mpf(0)] * 2 + [
+            mpmath.fsum(w * u ** (j - 2) for u, w in atoms) for j in range(2, n + 1)
+        ]
+        m = [mpmath.mpf(1)]
+        for j in range(1, n + 1):
+            m.append(mpmath.fsum(math.comb(j - 1, i) * kappa[i + 1] * m[j - 1 - i] for i in range(j)))
+        return mpmath.fsum(
+            mpmath.mpf(p) * math.comb(n, k) * (mpmath.mpf(law.x0) + mpmath.mpf(x)) ** (n - k) * m[k]
+            for x, p in law.background.atoms
+            for k in range(n + 1)
+        )
 
 
 def rademacher() -> DiscreteRV:

@@ -103,6 +103,16 @@ class TestEvenPBound:
         with pytest.raises(ValueError):
             even_p_bound(5, 1.0, 1.0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="poisson_pmf's exponent k log lam - lgamma(k + 1) rounds by about "
+        "|k log lam| eps; at lam = 3.2e4 the series misses by 52 times its budget",
+    )
+    def test_series_within_budget_at_large_intensity(self):
+        # lam = 3.16e4: the series bound against the exact cumulant value
+        series, exact = exact_bound(6.0, 6.0, 1e-9, 1.0), even_p_bound(6, 1e-9, 1.0)
+        assert abs(series.value - exact.value) <= series.error_budget
+
 
 class TestExactBound:
     def test_p5_unit(self):
@@ -433,12 +443,14 @@ class TestQScan:
             q_scan(5.5, 5.2, 1.3, 1.0, X3)
 
     def test_mirror_value_alone_can_raise(self, monkeypatch):
-        # the atoms of X3 start negative, so the mirror's shifts -X3 start
-        # positive; only its values are doubled, and the raise names a mirror
-        # cell, whose c1 is positive where the visited cell's is negative
+        # one call evaluates the shifts X3 and then the mirror's -X3; only the
+        # second half is doubled, and the raise names a mirror cell, whose c1
+        # is positive where the visited cell's is negative
         class MirrorDoubled(compound.ShiftedMomentEvaluator):
             def __call__(self, shifts):
-                return super().__call__(shifts) * (2.0 if shifts[0] > 0.0 else 1.0)
+                values = super().__call__(shifts)
+                values[len(values) // 2 :] *= 2.0
+                return values
 
         monkeypatch.setattr(compound, "ShiftedMomentEvaluator", MirrorDoubled)
         with pytest.raises(BoundExceeded) as info:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import brute_compound_abs, single_atom
-from sharp_rosenthal.bounds import q_scan
+from conftest import brute_compound_abs, exact_integer_moment, single_atom
+from sharp_rosenthal.bounds import _budget, q_scan
 from sharp_rosenthal.compound import (
     CompoundLaw,
     ShiftedMomentEvaluator,
@@ -52,6 +52,23 @@ def random_law(rng, max_atoms=2, gaussian=True) -> CompoundLaw:
         X = DiscreteRV.two_point_zero_mean(-float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.3, 1.5)))
     x0 = float(rng.uniform(-0.5, 0.5)) if rng.random() < 0.3 else 0.0
     return CompoundLaw(x0, X, LevyVarianceMeasure(atoms))
+
+
+def oracle_law(rng) -> CompoundLaw:
+    """1-3 atoms at |u| in [0.1, 3.2], the first with lam log-uniform in
+    [1e-2, 1e3] and the others in [1e-2, 1], a Gaussian part in 30% of laws,
+    and X with 1-3 atoms; larger second and third intensities compose grids
+    beyond max_terms."""
+    atoms = []
+    for k in range(int(rng.integers(1, 4))):
+        u = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.2))
+        lam = float(10 ** rng.uniform(-2.0, 3.0 if k == 0 else 0.0))
+        atoms.append((u, u * u * lam))
+    if rng.random() < 0.3:
+        atoms.append((0.0, float(rng.uniform(0.1, 2.0))))
+    n = int(rng.integers(1, 4))
+    X = DiscreteRV(zip(rng.uniform(-2.0, 2.0, n).tolist(), rng.dirichlet(np.ones(n)).tolist()))
+    return CompoundLaw(0.0, X, LevyVarianceMeasure(atoms))
 
 
 class TestR1Exp:
@@ -118,6 +135,17 @@ class TestSeriesEngine:
     def test_variance_additivity(self):
         law = CompoundLaw.pure(LevyVarianceMeasure([(1.0, 0.5), (-1.0, 0.5)]))
         assert cp_abs_moment_series(law, 2.0) == pytest.approx(1.0, abs=1e-11)
+
+    @pytest.mark.parametrize("q", [6, 8])
+    def test_even_moments_within_budget_of_cumulant_oracle(self, q):
+        # the exact moment from cumulants shares no code with the series;
+        # above lam ~ 1e3 the pmf's rounding outgrows the budget
+        rng = np.random.default_rng(q)
+        for _ in range(80):
+            law = oracle_law(rng)
+            value = cp_abs_moment_series(law, float(q))
+            gap = abs(value - float(exact_integer_moment(law, q)))
+            assert gap <= _budget(value, DEFAULT_CONFIG), law
 
     def test_degenerate_law_zero(self):
         law = CompoundLaw.pure(LevyVarianceMeasure())

@@ -282,8 +282,14 @@ class TestCutoffSearch:
             # tiny atoms (|u| << 1 scales the envelope down by |u|^q) and
             # offsets far beyond the window, where the guess falls short
             (3, (-12.0, 1.0), (-80.0, 10.0), (0.0, 3.0, 40.0, 200.0)),
+            # intensities so small that the window ends within a few indices
+            # of the mean, each index past it costing a factor lam
+            (4, (-300.0, -8.0), (-120.0, 20.0), (0.0, 3.0, 40.0, 1e4)),
+            # windows up to a few thousand indices wide, under envelopes
+            # scaled from far below tol to far above it
+            (5, (-2.0, 5.0), (-120.0, 20.0), (0.0, 3.0, 40.0, 1e4)),
         ],
-        ids=["unit-1", "unit-2", "extreme"],
+        ids=["unit-1", "unit-2", "extreme", "tiny", "wide"],
     )
     def test_minimal_window_matches_bisection(self, seed, lam_range, scale_range, offsets):
         rng = np.random.default_rng(seed)

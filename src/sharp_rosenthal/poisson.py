@@ -18,16 +18,20 @@ out.  Each cutoff is the nearest index that passes it.  A closed-form guess
 Bernstein or sub-Gaussian edge -- starts one search, exponential outward
 from the guess and then bisection, which usually makes two tests.  The
 guess moves only the number of tests, never the cutoff.  The window is
-O(sqrt(lambda)) wide.  Poisson probabilities are computed in log space so
-intensities up to 1e4 are handled without overflow.  Accuracy is lost
-sooner: the exponent k log lambda - lgamma(k + 1) rounds by about
+O(sqrt(lambda)) wide.  Poisson probabilities are computed in log space,
+exp(k log lambda - lambda - log k!), so intensities up to 1e4 are handled
+without overflow.  log k! is read from a table of the counts 0, 1, 2, ...
+(``_LOG_FACTORIAL``), built on first use and grown by doubling to the
+largest count requested; each entry is log Gamma(k + 1) evaluated as Cephes'
+``lgam`` evaluates it, the routine behind ``scipy.special.gammaln``.
+Accuracy is lost sooner: the exponent k log lambda - log k! rounds by about
 |k log lambda| eps, a relative error near 1e-12 at lambda ~ 7e3 that every
 moment over the atom inherits; at lambda ~ 2e5 a moment is off by hundreds
 of times its error budget.
 
 Gaussian moments have closed forms, vectorized over the mean: the absolute
 moment through Kummer's 1F1 and the part moments through the parabolic
-cylinder function D_{-q-1}.
+cylinder function D_{-q-1}.  Only these load ``scipy.special``, on first use.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, hyp1f1, pbdv
 
 from .errors import TailNotConverged
 from .measures import LevyVarianceMeasure
@@ -76,13 +79,84 @@ class SeriesConfig:
 DEFAULT_CONFIG = SeriesConfig()
 
 
-def _log_poisson_pmf(ks: np.ndarray, lam: float) -> np.ndarray:
-    return ks * math.log(lam) - lam - gammaln(ks + 1.0)
+#: Cephes ``lgam``'s Stirling series in p = 1/x^2 for 13 <= x < 1000, highest
+#: power first, and log(sqrt(2 pi)).
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+#: log k! at k = 0, 1, ..., 11, from the exact factorials.
+_LOG_SMALL_FACTORIAL = np.array([math.log(math.factorial(k)) for k in range(12)])
+
+
+def _cephes_log_factorial(ks: np.ndarray) -> np.ndarray:
+    """log k! for an integer array of nonnegative counts, as Cephes ``lgam``
+    evaluates log Gamma(x) at x = k + 1.
+
+    Below x = 13 that is the log of the exact factorial.  From there on it
+    is (x - 1/2) log x - x + log sqrt(2 pi) plus a series in 1/x^2 over x:
+    five terms below x = 1000, three up to 1e8, none beyond.  ``math.log``
+    is the C library's log, which ``lgam`` calls too; numpy's vectorized log
+    can differ from it in the last bit.
+    """
+    x = ks + 1.0
+    log_x = np.array(list(map(math.log, x.tolist())))
+    out = (x - 0.5) * log_x - x + _LOG_SQRT_2PI
+    p = 1.0 / (x * x)
+    near = x < 1000.0
+    pn, series = p[near], _STIRLING[0]
+    for c in _STIRLING[1:]:
+        series = series * pn + c
+    out[near] += series / x[near]
+    far = ~near & (x <= 1e8)
+    pf = p[far]
+    out[far] += (
+        (7.9365079365079365079365e-4 * pf - 2.7777777777777777777778e-3) * pf
+        + 0.0833333333333333333333
+    ) / x[far]
+    small = ks < 12
+    out[small] = _LOG_SMALL_FACTORIAL[ks[small]]
+    return out
+
+
+#: log k! at k = 0, 1, ..., len - 1; see :func:`_log_factorials`.
+_LOG_FACTORIAL = np.empty(0)
+
+#: The table stops below this count (8 MB), which a count reaches only with
+#: ``max_terms`` above its default; larger counts are computed per call.
+_TABLE_LIMIT = 1 << 20
+
+
+def _log_factorials(ks: np.ndarray) -> np.ndarray:
+    """log k! for an integer array of nonnegative counts, from the table,
+    which first grows to the power of two above the largest count when a
+    count lies beyond it.  Each call reads the table it grew, so a call
+    that races another's growth still finds its counts."""
+    global _LOG_FACTORIAL
+    table = _LOG_FACTORIAL
+    try:
+        return table[ks]
+    except IndexError:
+        top = int(ks.max())
+        if top >= _TABLE_LIMIT:
+            return _cephes_log_factorial(ks)
+        size = 1 << top.bit_length()
+        table = np.concatenate((table, _cephes_log_factorial(np.arange(table.size, size))))
+        _LOG_FACTORIAL = table
+        return table[ks]
 
 
 def poisson_pmf(ks: np.ndarray, lam: float) -> np.ndarray:
-    """exp(k log lam - lam - lgamma(k+1)), vectorized over ``ks``."""
-    return np.exp(_log_poisson_pmf(np.asarray(ks, dtype=float), lam))
+    """exp(k log lam - lam - log k!) for nonnegative integer counts ``ks``
+    (any integer or integer-valued float array), log k! from the table of
+    :func:`_log_factorials`."""
+    ks = np.asarray(ks, dtype=float)
+    return np.exp(ks * math.log(lam) - lam - _log_factorials(ks.astype(np.intp)))
 
 
 def _log_term(
@@ -362,16 +436,15 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SMALL_SIDE_CUT = -math.log(np.finfo(float).tiny)
 
 
-def _check_gaussian_args(sd: float, q: float) -> None:
+def _gaussian_args(mean, sd: float, q: float) -> tuple[np.ndarray, bool]:
+    """``mean`` as a float array of at least one dimension and whether it
+    was a scalar, once sd >= 0 and q > 0 are checked."""
     if sd < 0.0:
         raise ValueError(f"sd must be >= 0, got {sd}")
     if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
-
-
-def _as_result(values: np.ndarray, mean):
-    """``values`` as a float when ``mean`` was a scalar."""
-    return float(values[0]) if np.ndim(mean) == 0 else values
+    m = np.asarray(mean, dtype=float)
+    return (m, False) if m.ndim else (m.reshape(1), True)
 
 
 def _std_abs_moment(mu: np.ndarray, q: float) -> np.ndarray:
@@ -380,6 +453,9 @@ def _std_abs_moment(mu: np.ndarray, q: float) -> np.ndarray:
     Once q^2 <= eps mu^2 the value is |mu|^q to rounding (the first correction
     is q(q-1)/(2 mu^2)); hyp1f1 returns NaN there for even q >= 4.
     """
+    # imported here: scipy.special adds about 0.2 s to the package's import
+    from scipy.special import hyp1f1
+
     mu2 = mu * mu
     far = q * q <= np.finfo(float).eps * mu2
     c = 2.0 ** (q / 2.0) * math.exp(math.lgamma((q + 1.0) / 2.0)) / math.sqrt(math.pi)
@@ -390,6 +466,9 @@ def _std_abs_moment(mu: np.ndarray, q: float) -> np.ndarray:
 
 def _std_small_side(a: np.ndarray, q: float) -> np.ndarray:
     """E(Z - a)_+^q for a >= 0: Gamma(q+1)/sqrt(2 pi) e^{-a^2/4} D_{-q-1}(a)."""
+    # imported here: scipy.special adds about 0.2 s to the package's import
+    from scipy.special import pbdv
+
     out = np.zeros_like(a)
     live = a * a <= 2.0 * _SMALL_SIDE_CUT
     x = a[live]
@@ -405,11 +484,12 @@ def gaussian_abs_moment(mean, sd: float, q: float):
     -mean^2/(2 sd^2)) (Winkelbauer, arXiv:1209.4340); |mean|^q for sd = 0.
     Returns a float for a scalar ``mean``, else an ndarray.
     """
-    _check_gaussian_args(sd, q)
-    m = np.atleast_1d(np.asarray(mean, dtype=float))
+    m, scalar = _gaussian_args(mean, sd, q)
     if sd == 0.0:
-        return _as_result(np.abs(m) ** q, mean)
-    return _as_result(sd**q * _std_abs_moment(m / sd, q), mean)
+        out = np.abs(m) ** q
+    else:
+        out = sd**q * _std_abs_moment(m / sd, q)
+    return float(out[0]) if scalar else out
 
 
 def gaussian_part_moment(mean, sd: float, q: float, kind: str):
@@ -420,16 +500,17 @@ def gaussian_part_moment(mean, sd: float, q: float, kind: str):
     function D_{-q-1}; the other part is the absolute moment less it, which
     never cancels because the former is at most half of the absolute moment.
     """
-    if kind not in ("positive", "negative"):
-        raise ValueError(f"kind must be 'positive' or 'negative', got {kind!r}")
-    _check_gaussian_args(sd, q)
-    m = np.atleast_1d(np.asarray(mean, dtype=float))
+    m, scalar = _gaussian_args(mean, sd, q)
     if kind == "negative":
         m = -m
+    elif kind != "positive":
+        raise ValueError(f"kind must be 'positive' or 'negative', got {kind!r}")
     if sd == 0.0:
-        return _as_result(np.maximum(m, 0.0) ** q, mean)
-    mu = m / sd
-    out = _std_small_side(np.abs(mu), q)
-    large = mu > 0.0
-    out[large] = _std_abs_moment(mu[large], q) - out[large]
-    return _as_result(sd**q * out, mean)
+        out = np.maximum(m, 0.0) ** q
+    else:
+        mu = m / sd
+        out = _std_small_side(np.abs(mu), q)
+        large = mu > 0.0
+        out[large] = _std_abs_moment(mu[large], q) - out[large]
+        out = sd**q * out
+    return float(out[0]) if scalar else out

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -223,6 +224,37 @@ class TestClosedStdout:
         err = proc.stderr.read().decode()
         assert proc.wait() == EXIT_CASE_FAILED
         assert err == ""
+
+
+class TestImportPath:
+    def test_no_scipy_until_a_gaussian_part(self):
+        # a fresh interpreter, since conftest imports scipy.stats; the
+        # series engine, the scan and the fuzz suite at p = 5 need no scipy,
+        # and the first Gaussian part loads scipy.special
+        script = textwrap.dedent(
+            """
+            import json, sys
+            import sharp_rosenthal
+            from sharp_rosenthal import cli, exact_bound, gaussian_abs_moment, q_scan
+            exact_bound(5, 5, 1, 1)
+            q_scan(5, 5, 1, 1, grid=8)
+            code = cli.main(["verify", "fuzz", "--cases", "5"])
+            before = sorted(m for m in sys.modules if m.startswith("scipy"))
+            value = gaussian_abs_moment(0.7, 1.3, 5.0)
+            print(json.dumps([code, before, value, "scipy.special" in sys.modules]))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(sharp_rosenthal.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
+            timeout=120,
+        )
+        code, before, value, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == EXIT_OK
+        assert before == []
+        assert value == 42.136040985923124
+        assert loaded
 
 
 class TestDeterminism:

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from conftest import brute_poisson_abs_central, brute_skellam_abs
 from sharp_rosenthal import poisson
@@ -62,6 +62,52 @@ class TestPoissonAbsCentralMoment:
             logm = np.log([cp_abs_moment_series(poisson_law(lam), q) for q in qs])
             mid = 0.5 * (logm[:-2] + logm[2:])
             assert np.all(logm[1:-1] <= mid + 1e-9)
+
+
+class TestLogFactorialTable:
+    def test_exact_through_eleven(self):
+        table = poisson._log_factorials(np.arange(12))
+        assert table.tolist() == [math.log(math.factorial(k)) for k in range(12)]
+
+    def test_within_one_ulp_of_gammaln(self):
+        ks = np.arange(10**6)
+        table, reference = poisson._log_factorials(ks), special.gammaln(ks + 1.0)
+        assert np.all(np.abs(table - reference) <= np.spacing(reference))
+
+    def test_grown_in_steps_equals_built_at_once(self, monkeypatch):
+        # the steps cross the first Stirling count (12) and the switch to
+        # the three-term series (k = 999)
+        monkeypatch.setattr(poisson, "_LOG_FACTORIAL", np.empty(0))
+        sizes = []
+        for top in (0, 5, 11, 12, 40, 998, 999, 5000):
+            poisson._log_factorials(np.array([top]))
+            sizes.append(poisson._LOG_FACTORIAL.size)
+        assert sizes == [1, 8, 16, 16, 64, 1024, 1024, 8192]
+        np.testing.assert_array_equal(
+            poisson._LOG_FACTORIAL, poisson._cephes_log_factorial(np.arange(8192))
+        )
+
+    def test_counts_beyond_the_table_computed_alike(self, monkeypatch):
+        # past the table's limit the same formula runs on the counts alone,
+        # and the table does not grow
+        monkeypatch.setattr(poisson, "_LOG_FACTORIAL", np.empty(0))
+        ks = poisson._TABLE_LIMIT + np.array([5, 0, 10**5])
+        reference = special.gammaln(ks + 1.0)
+        assert np.all(np.abs(poisson._log_factorials(ks) - reference) <= np.spacing(reference))
+        monkeypatch.setattr(poisson, "_TABLE_LIMIT", 64)
+        ks = np.array([70, 3, 64, 11, 12])
+        np.testing.assert_array_equal(
+            poisson._log_factorials(ks), poisson._cephes_log_factorial(np.arange(71))[ks]
+        )
+        assert poisson._LOG_FACTORIAL.size == 0
+
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_pmf_reads_the_table(self, dtype):
+        lam, lo, hi = 37.5, 9, 80
+        ks = np.arange(lo, hi + 1, dtype=dtype)
+        pmf = poisson.poisson_pmf(ks, lam)  # grows the table past hi if need be
+        expected = np.exp(ks * math.log(lam) - lam - poisson._LOG_FACTORIAL[lo : hi + 1])
+        np.testing.assert_array_equal(pmf, expected)
 
 
 class TestPoissonPartMoment:

@@ -7,8 +7,9 @@ weight w contributes a Gaussian of variance w, and an atom at u != 0 a
 scaled centered Poisson u*(Pi_lam - lam) with lam = w/u^2.
 
 The *series* engine composes truncated Poisson grids (certified Minkowski
-envelopes bound each discarded tail) and weights the residual means with the
-closed-form Gaussian moment.  One kernel, ``_expect``, computes every series
+envelopes bound each discarded tail), with atoms at u and -u on one lattice
+of count differences, and weights the residual means with the closed-form
+Gaussian moment.  One kernel, ``_expect``, computes every series
 moment -- of the kind "abs", "positive" or "negative": the absolute moment
 and the two parts -- for a row of shifts of one certified grid, one
 Gaussian call per block of shifts; a single moment is the row of the one
@@ -74,6 +75,9 @@ _R1_TAYLOR_CUT = 1e-4
 
 # 1/(j+2)! for j = 0..8, highest degree first (Horner order).
 _R1_COEFFS = [1.0 / math.factorial(j + 2) for j in range(8, -1, -1)]
+
+# Index pairs (i, j), i < j, among n nonzero atoms, for n = 0..MAX_NONZERO_ATOMS.
+_PAIRS = ((), (), ((0, 1),), ((0, 1), (0, 2), (1, 2)))
 
 
 @dataclass(frozen=True)
@@ -182,8 +186,14 @@ def _law_grid(
     to q).  Norms do not decrease in r, so M_i at q serves every r, and
     :func:`poisson._certified_window` certifies each window over [q_min, q].
 
-    The first atom composed onto a one-point background is a scalar shift
-    and scale of its window; later atoms compose as outer products.
+    The first factor composed onto a one-point background is a scalar shift
+    and scale of its window; later factors compose as outer products.  Each
+    atom is one factor, except that atoms at -u and u make one: their
+    counts k' and k enter only through u (k - k'), so the pair's factor has
+    the W_u + W_-u - 1 values u (d - (lam_u - lam_-u)), one per difference
+    d in [L_u - K_-u, K_u - L_-u], each weighted by the convolution of the
+    two pmfs.  It holds every (k, k') of the product, with the pairs that
+    share a value summed; the windows are the atoms' own.
     """
     nz = law.levy.nonzero_atoms()
     if len(nz) > MAX_NONZERO_ATOMS:
@@ -196,6 +206,12 @@ def _law_grid(
     values = [law.x0 + x for x, _ in atoms]
     probs = [p for _, p in atoms]
     base = shift_bound + max(map(abs, values)) + (sd * gaussian_norm_bound(q) if sd else 0.0)
+    # atoms at -u and u (at most one such pair among three atoms): the first
+    # is held until the second, and both compose as one lattice factor
+    held_at = paired_at = -1
+    for i, j in _PAIRS[len(nz)]:
+        if nz[i][0] == -nz[j][0]:
+            held_at, paired_at = i, j
     if len(nz) > 1:
         norms = [abs(u) * poisson_centered_norm_bound(w / (u * u), q) for u, w in nz]
     tol_dim = cfg.tol / (2.0 * max(1, len(nz)))
@@ -209,21 +225,37 @@ def _law_grid(
         lo, hi = _certified_window(
             lam, q, q_min, tol_side, cfg.max_terms, offset, math.log(abs(u))
         )
+        tail += tol_dim
+        windows.append((lo, hi))
         width = hi - lo + 1
+        if i == held_at:
+            held_lo, held_hi, held_lam = lo, hi, lam
+            held_pmf = poisson_pmf(np.arange(lo, hi + 1, dtype=float), lam)
+            continue
+        if i == paired_at:
+            held_width = held_hi - held_lo + 1
+            if held_width * width > cfg.max_terms:
+                raise TailNotConverged(
+                    f"lattice convolution would exceed max_terms={cfg.max_terms} "
+                    f"({held_width} x {width})"
+                )
+            width += held_width - 1
         if len(values) * width > cfg.max_terms:
             raise TailNotConverged(
                 f"composed grid would exceed max_terms={cfg.max_terms} "
                 f"({len(values)} x {width})"
             )
         ks = np.arange(lo, hi + 1, dtype=float)
-        steps, pmf = u * (ks - lam), poisson_pmf(ks, lam)
+        pmf = poisson_pmf(ks, lam)
+        if i == paired_at:  # the counts become their differences k - k'
+            ks = np.arange(lo - held_hi, hi - held_lo + 1, dtype=float)
+            lam, pmf = lam - held_lam, np.convolve(pmf, held_pmf[::-1])
+        steps = u * (ks - lam)
         if len(values) == 1:
             values, probs = values[0] + steps, probs[0] * pmf
         else:
             values = np.add.outer(values, steps).ravel()
             probs = np.multiply.outer(probs, pmf).ravel()
-        tail += tol_dim
-        windows.append((lo, hi))
     values, probs = np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
     return _LawGrid(values, probs, sd, tail, tuple(windows))
 

@@ -13,6 +13,7 @@ from conftest import (
     brute_poisson_abs_central,
     brute_skellam_abs,
     brute_triple_poisson_abs,
+    exact_integer_moment,
 )
 from sharp_rosenthal.bounds import (
     best_constant,
@@ -256,6 +257,55 @@ class TestCombinedBound:
             brute_triple_poisson_abs(1.0, 0.5, 1.0, 1.0, s, 5.0) for s in (1.0, -1.0)
         )
         assert result.value == pytest.approx(brute, rel=1e-10)
+
+
+class TestSkellamLawsAgainstCumulantOracle:
+    """symmetric_bound and combined_bound against the exact even moments of
+    their extremal laws, from cumulants at 50 digits (no series).  Their
+    +-c0 atoms compose as one lattice; with c1 = c0 the c1 atom merges into
+    one of them, and the pair has unequal intensities."""
+
+    @staticmethod
+    def draw(rng, q, k):
+        p = q + float(rng.uniform(0.0, 2.0))
+        A0, B0, A1, B1 = (float(v) for v in rng.uniform(0.5, 2.0, 4))
+        if k % 3 == 0:
+            A1, B1 = 2.0 * A0, 2.0 * B0  # A1/B1 = A0/B0 exactly, so c1 = c0
+        if k % 2 == 0:
+            X = D0
+        else:
+            n = int(rng.integers(1, 4))
+            X = D0 if n == 1 else random_zero_mean_rv(int(rng.integers(2**31)), max_support=n)
+        return p, A0, B0, A1, B1, X
+
+    @staticmethod
+    def oracle(q, X, measures):
+        laws = (CompoundLaw(0.0, X, LevyVarianceMeasure(atoms)) for atoms in measures)
+        return max(float(exact_integer_moment(law, q)) for law in laws)
+
+    @pytest.mark.parametrize("q", [6, 8])
+    def test_symmetric_within_budget(self, q):
+        rng = np.random.default_rng(250 + q)
+        for k in range(24):
+            p, A, B, _, _, X = self.draw(rng, q, k)
+            result = symmetric_bound(p, q, A, B, X)
+            c = result.certificate.c
+            exact = self.oracle(q, X, [[(c, B / 2.0), (-c, B / 2.0)]])
+            assert abs(result.value - exact) <= result.error_budget, (p, A, B, X)
+
+    @pytest.mark.parametrize("q", [6, 8])
+    def test_combined_within_budget(self, q):
+        rng = np.random.default_rng(260 + q)
+        merged = 0
+        for k in range(24):
+            p, A0, B0, A1, B1, X = self.draw(rng, q, k)
+            result = combined_bound(p, q, A0, B0, A1, B1, X)
+            lc0, lc1 = result.certificate
+            merged += lc1.c == lc0.c
+            pair = [(lc0.c, B0 / 2.0), (-lc0.c, B0 / 2.0)]
+            exact = self.oracle(q, X, [pair + [(lc1.c, B1)], pair + [(-lc1.c, B1)]])
+            assert abs(result.value - exact) <= result.error_budget, (p, A0, B0, A1, B1, X)
+        assert merged == 8
 
 
 class TestBestConstant:

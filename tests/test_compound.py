@@ -23,7 +23,12 @@ from sharp_rosenthal.compound import (
     r1_exp,
     saddle_abscissa,
 )
-from sharp_rosenthal.errors import ExponentTooSmall, ImaginaryResidualTooLarge, TooManyAtoms
+from sharp_rosenthal.errors import (
+    ExponentTooSmall,
+    ImaginaryResidualTooLarge,
+    TailNotConverged,
+    TooManyAtoms,
+)
 from sharp_rosenthal.measures import DiscreteRV, LevyVarianceMeasure
 from sharp_rosenthal.poisson import (
     DEFAULT_CONFIG,
@@ -191,8 +196,9 @@ class TestSeriesEngine:
         pair = ShiftedMomentEvaluator(law, 5.0, 0.0)(np.array([0.0, -0.0]))
         assert pair[0] == cp_abs_moment_series(law, 5.0)
         # 8 379 grid points make blocks of 1 001 shifts; the shifts on either
-        # side of the first block edge match single calls
-        law = CompoundLaw.pure(LevyVarianceMeasure([(0.7, 0.5), (-0.7, 0.5), (1.3, 1.0)]))
+        # side of the first block edge match single calls (no two atoms are
+        # opposite, so the grid is the full 21 x 21 x 19 product)
+        law = CompoundLaw.pure(LevyVarianceMeasure([(0.7, 0.5), (-0.71, 0.5), (1.3, 1.0)]))
         evaluate = ShiftedMomentEvaluator(law, 5.0, 1.0)
         assert (1 << 23) // evaluate._grid.values.size == 1001
         shifts = np.linspace(-1.0, 1.0, 1004)
@@ -407,6 +413,82 @@ class TestMultiExponentGrid:
                     lost = math.fsum(np.concatenate(terms).tolist())
                     assert lost <= cfg.tol / 4.0, (law, q, shift_bound, r, x, lost)
         assert pruned_any
+
+
+class TestOppositePairLattice:
+    """Atoms at -u and u compose as one lattice u (d - (lam_u - lam_-u)) over
+    the differences d = k - k' of their counts, each atom in its own window."""
+
+    X3 = DiscreteRV([(-1.2, 0.3), (0.3, 0.4), (0.8, 0.3)])
+    # windows of 21 and 31 counts: 651 multiply-adds make 3 x 51 points,
+    # where the product would hold 3 x 21 x 31 = 1 953
+    PAIR = LevyVarianceMeasure([(0.8, 0.64 * 3.0), (-0.8, 0.64 * 1.0)])
+
+    @pytest.mark.parametrize(
+        "atoms, windows",
+        [
+            (
+                [(0.9, 0.81 * 2.0), (-0.9, 0.81 * 2.0), (1.3, 1.69 * 0.7)],
+                ((0, 26), (0, 26), (0, 19)),
+            ),
+            ([(0.9, 0.81 * 2.0), (-0.9, 0.81 * 0.5)], ((0, 16), (0, 26))),
+            (
+                [(-0.9, 0.81 * 3.0), (0.9, 0.81 * 1.0), (-0.4, 0.16 * 1.5)],
+                ((0, 31), (0, 22), (0, 20)),
+            ),
+        ],
+        ids=["pair-then-third", "unequal-lam", "third-between"],
+    )
+    def test_windows_kept_and_pairs_summed(self, atoms, windows):
+        # the windows and tail are those each atom had in the full product
+        law = CompoundLaw(0.0, self.X3, LevyVarianceMeasure(atoms))
+        grid = _law_grid(law, 5.0, DEFAULT_CONFIG)
+        assert grid.windows == windows
+        assert grid.tail_bound == DEFAULT_CONFIG.tol / 2.0
+        nz = law.levy.nonzero_atoms()
+        pair = [i for i, (u, _) in enumerate(nz) if any(u == -v for v, _ in nz)]
+        (lo_a, hi_a), (lo_b, hi_b) = (windows[i] for i in pair)
+        rest = [hi - lo + 1 for i, (lo, hi) in enumerate(windows) if i not in pair]
+        assert grid.values.size == 3 * (hi_a - lo_a + hi_b - lo_b + 1) * math.prod(rest)
+        # every point of the product of the same windows is in the lattice:
+        # each moment sums the same terms, grouped
+        values, probs = self.X3.values, self.X3.probs
+        for (u, w), (lo, hi) in zip(nz, windows):
+            ks = np.arange(lo, hi + 1, dtype=float)
+            values = np.add.outer(values, u * (ks - w / (u * u))).ravel()
+            probs = np.multiply.outer(probs, stats.poisson.pmf(ks, w / (u * u))).ravel()
+        for f in (np.ones_like, lambda v: v**3, lambda v: np.abs(v) ** 5.0):
+            expected = probs @ f(values)
+            assert grid.probs @ f(grid.values) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
+    def test_pure_pair_masses_are_the_law_of_the_difference(self):
+        # u (k - lam_u) - u (k' - lam_-u) depends on d = k - k' only; the
+        # lattice lists d in increasing order with the product's mass on each
+        u, lam_u, lam_v = 0.9, 2.0, 0.5
+        law = CompoundLaw.pure(LevyVarianceMeasure([(u, u * u * lam_u), (-u, u * u * lam_v)]))
+        grid = _law_grid(law, 5.0, DEFAULT_CONFIG)
+        (lo_v, hi_v), (lo_u, hi_u) = grid.windows
+        k, k_v = np.meshgrid(np.arange(lo_u, hi_u + 1), np.arange(lo_v, hi_v + 1), indexing="ij")
+        mass = np.outer(stats.poisson.pmf(k[:, 0], lam_u), stats.poisson.pmf(k_v[0], lam_v))
+        d = (k - k_v).ravel()
+        expected = np.bincount(d - d.min(), weights=mass.ravel())
+        assert grid.probs == pytest.approx(expected, rel=1e-12, abs=1e-300)
+        diffs = np.arange(d.min(), d.max() + 1)
+        assert grid.values == pytest.approx(u * (diffs - (lam_u - lam_v)), rel=1e-15, abs=1e-15)
+
+    def test_convolution_over_max_terms_refused(self):
+        law = CompoundLaw(0.0, self.X3, self.PAIR)
+        with pytest.raises(TailNotConverged, match="lattice convolution"):
+            _law_grid(law, 5.0, SeriesConfig(max_terms=600))
+
+    def test_law_the_product_refused_matches_brute(self):
+        law = CompoundLaw(0.0, self.X3, self.PAIR)
+        cfg = SeriesConfig(max_terms=700)
+        grid = _law_grid(law, 5.0, cfg)
+        assert grid.windows == ((0, 20), (0, 30)) and grid.values.size == 3 * 51
+        value = cp_abs_moment_series(law, 5.0, cfg)
+        brute = brute_compound_abs(self.X3, [(0.8, 3.0), (-0.8, 1.0)], 5.0)
+        assert value == pytest.approx(brute, rel=1e-12)
 
 
 class TestContourEngine:

@@ -27,7 +27,13 @@ import numpy as np
 from . import compound
 from .compound import CompoundLaw
 from .errors import BoundExceeded, SingularSystem, TailNotConverged, UnsupportedExponents
-from .measures import ZERO_MEAN_TOL, DiscreteRV, LevyVarianceMeasure, require_zero_mean
+from .measures import (
+    ATOM_MERGE_TOL,
+    ZERO_MEAN_TOL,
+    DiscreteRV,
+    LevyVarianceMeasure,
+    require_zero_mean,
+)
 from .poisson import DEFAULT_CONFIG, SeriesConfig, poisson_central_moment_even
 
 # Not called here: the benchmark's tracer wraps bounds.skellam_abs_moment_about by name.
@@ -98,7 +104,7 @@ def _budget(value: float, cfg: SeriesConfig, n_series: int = 1) -> float:
     seed 1, with medians of 735 points (X = 0) and 2 109 (with X).  As full
     products all 64 lay above it.
     """
-    eps = np.finfo(float).eps
+    eps = float(np.finfo(float).eps)
     return n_series * cfg.tol + 4096.0 * eps * max(1.0, abs(value))
 
 
@@ -248,7 +254,10 @@ def combined_bound(
     (Pi_lam1 - lam1)|^q, a three-atom compound law per sign.  Its grid is
     X times the lattice c0 d of the Skellam part times the c1 atom's window.
     When c1 = c0 the measure merges the c1 atom into the one at +-c0, and
-    the lattice is that of two counts of unequal intensity.
+    the lattice is that of two counts of unequal intensity.  A c1 within the
+    measure's merge tolerance of c0 is placed at c0, so that both signs
+    merge it into the pair rather than one sign keeping the smaller of the
+    two locations; the certificate keeps c1 as solved.
     """
     if X is None:
         X = DiscreteRV.delta(0.0)
@@ -257,8 +266,9 @@ def combined_bound(
     require_zero_mean(X)
     lc0 = solve_lambda_c(p, A0, B0)
     lc1 = solve_lambda_c(p, A1, B1)
+    c1 = lc0.c if abs(lc1.c - lc0.c) <= ATOM_MERGE_TOL else lc1.c
     symmetric = [(lc0.c, B0 / 2.0), (-lc0.c, B0 / 2.0)]
-    measures = [symmetric + [(lc1.c, B1)], symmetric + [(-lc1.c, B1)]]
+    measures = [symmetric + [(c1, B1)], symmetric + [(-c1, B1)]]
     return _extremal(REGIME_COMBINED, (lc0, lc1), measures, X, q, cfg)
 
 

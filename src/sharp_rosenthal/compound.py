@@ -76,10 +76,6 @@ _R1_TAYLOR_CUT = 1e-4
 # 1/(j+2)! for j = 0..8, highest degree first (Horner order).
 _R1_COEFFS = [1.0 / math.factorial(j + 2) for j in range(8, -1, -1)]
 
-# Index pairs (i, j), i < j, among n nonzero atoms, for n = 0..MAX_NONZERO_ATOMS.
-_PAIRS = ((), (), ((0, 1),), ((0, 1), (0, 2), (1, 2)))
-
-
 @dataclass(frozen=True)
 class CompoundLaw:
     """x0 + X + Y_H with X a DiscreteRV independent of Y_H."""
@@ -128,10 +124,7 @@ def _r1_exp_array(w: np.ndarray) -> np.ndarray:
     big = ~small
     if big.any():
         wb = w[big]
-        a, b = wb.real, wb.imag
-        # exp(w) - 1 without cancellation near 0
-        expm1_wb = np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 + 1j * np.exp(a) * np.sin(b)
-        out[big] = (expm1_wb - wb) / (wb * wb)
+        out[big] = (np.expm1(wb) - wb) / (wb * wb)
     return out
 
 
@@ -186,14 +179,19 @@ def _law_grid(
     to q).  Norms do not decrease in r, so M_i at q serves every r, and
     :func:`poisson._certified_window` certifies each window over [q_min, q].
 
-    The first factor composed onto a one-point background is a scalar shift
-    and scale of its window; later factors compose as outer products.  Each
-    atom is one factor, except that atoms at -u and u make one: their
+    Two loops.  The first makes one factor (counts, mean, pmf) per atom,
+    keyed by its location u, with steps u (counts - mean).  When the
+    opposite location -u already holds a factor, the two become one: their
     counts k' and k enter only through u (k - k'), so the pair's factor has
-    the W_u + W_-u - 1 values u (d - (lam_u - lam_-u)), one per difference
-    d in [L_u - K_-u, K_u - L_-u], each weighted by the convolution of the
-    two pmfs.  It holds every (k, k') of the product, with the pairs that
-    share a value summed; the windows are the atoms' own.
+    the W_u + W_-u - 1 differences d in [L_u - K_-u, K_u - L_-u], mean
+    lam_u - lam_-u, and the convolution of the two pmfs as masses.  It holds
+    every (k, k') of the product, with the pairs that share a value summed,
+    and takes the second atom's place in the order; the windows are the
+    atoms' own.  The second loop composes the factors onto the background
+    in that order: the first onto a one-point background as a scalar shift
+    and scale of its steps, later ones as outer products.  The background
+    stays a Python list and the scalar path stays: with numpy arrays there,
+    ``exact_bound`` at p = 5.3 took 69 -> 78 us per call (2-vCPU Xeon).
     """
     nz = law.levy.nonzero_atoms()
     if len(nz) > MAX_NONZERO_ATOMS:
@@ -206,50 +204,37 @@ def _law_grid(
     values = [law.x0 + x for x, _ in atoms]
     probs = [p for _, p in atoms]
     base = shift_bound + max(map(abs, values)) + (sd * gaussian_norm_bound(q) if sd else 0.0)
-    # atoms at -u and u (at most one such pair among three atoms): the first
-    # is held until the second, and both compose as one lattice factor
-    held_at = paired_at = -1
-    for i, j in _PAIRS[len(nz)]:
-        if nz[i][0] == -nz[j][0]:
-            held_at, paired_at = i, j
     if len(nz) > 1:
         norms = [abs(u) * poisson_centered_norm_bound(w / (u * u), q) for u, w in nz]
     tol_dim = cfg.tol / (2.0 * max(1, len(nz)))
-    tol_side = tol_dim / 2.0
-    tail = 0.0
     windows = []
+    factors = {}
     for i, (u, w) in enumerate(nz):
         lam = w / (u * u)
         others = sum(norms[j] for j in range(len(nz)) if j != i) if len(nz) > 1 else 0.0
         offset = (base + others) / abs(u)
         lo, hi = _certified_window(
-            lam, q, q_min, tol_side, cfg.max_terms, offset, math.log(abs(u))
+            lam, q, q_min, tol_dim / 2.0, cfg.max_terms, offset, math.log(abs(u))
         )
-        tail += tol_dim
         windows.append((lo, hi))
-        width = hi - lo + 1
-        if i == held_at:
-            held_lo, held_hi, held_lam = lo, hi, lam
-            held_pmf = poisson_pmf(np.arange(lo, hi + 1, dtype=float), lam)
-            continue
-        if i == paired_at:
-            held_width = held_hi - held_lo + 1
-            if held_width * width > cfg.max_terms:
-                raise TailNotConverged(
-                    f"lattice convolution would exceed max_terms={cfg.max_terms} "
-                    f"({held_width} x {width})"
-                )
-            width += held_width - 1
-        if len(values) * width > cfg.max_terms:
-            raise TailNotConverged(
-                f"composed grid would exceed max_terms={cfg.max_terms} "
-                f"({len(values)} x {width})"
-            )
         ks = np.arange(lo, hi + 1, dtype=float)
         pmf = poisson_pmf(ks, lam)
-        if i == paired_at:  # the counts become their differences k - k'
-            ks = np.arange(lo - held_hi, hi - held_lo + 1, dtype=float)
+        if -u in factors:
+            held_ks, held_lam, held_pmf = factors.pop(-u)
+            if held_ks.size * ks.size > cfg.max_terms:
+                raise TailNotConverged(
+                    f"lattice convolution would exceed max_terms={cfg.max_terms} "
+                    f"({held_ks.size} x {ks.size})"
+                )
+            ks = np.arange(lo - held_ks[-1], hi - held_ks[0] + 1, dtype=float)
             lam, pmf = lam - held_lam, np.convolve(pmf, held_pmf[::-1])
+        factors[u] = (ks, lam, pmf)
+    for u, (ks, lam, pmf) in factors.items():
+        if len(values) * ks.size > cfg.max_terms:
+            raise TailNotConverged(
+                f"composed grid would exceed max_terms={cfg.max_terms} "
+                f"({len(values)} x {ks.size})"
+            )
         steps = u * (ks - lam)
         if len(values) == 1:
             values, probs = values[0] + steps, probs[0] * pmf
@@ -257,7 +242,7 @@ def _law_grid(
             values = np.add.outer(values, steps).ravel()
             probs = np.multiply.outer(probs, pmf).ravel()
     values, probs = np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
-    return _LawGrid(values, probs, sd, tail, tuple(windows))
+    return _LawGrid(values, probs, sd, tol_dim * len(nz), tuple(windows))
 
 
 def _prune_grid(

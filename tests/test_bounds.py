@@ -36,7 +36,7 @@ from sharp_rosenthal.errors import (
     SingularSystem,
     UnsupportedExponents,
 )
-from sharp_rosenthal.measures import DiscreteRV, LevyVarianceMeasure
+from sharp_rosenthal.measures import ATOM_MERGE_TOL, DiscreteRV, LevyVarianceMeasure
 from sharp_rosenthal.poisson import gaussian_abs_moment, skellam_abs_moment_about
 from sharp_rosenthal.verify import random_zero_mean_rv
 
@@ -257,6 +257,26 @@ class TestCombinedBound:
             brute_triple_poisson_abs(1.0, 0.5, 1.0, 1.0, s, 5.0) for s in (1.0, -1.0)
         )
         assert result.value == pytest.approx(brute, rel=1e-10)
+
+    def test_rounding_level_near_pair_is_one_lattice(self, monkeypatch):
+        # A1, B1 = 0.7 * 3, 0.3 * 3 in floating point: c1 solves one ulp below
+        # c0, and both signs merge the c1 atom into the +-c0 lattice
+        sizes = []
+        law_grid = compound._law_grid
+
+        def spy(*args):
+            grid = law_grid(*args)
+            sizes.append(grid.values.size)
+            return grid
+
+        monkeypatch.setattr(compound, "_law_grid", spy)
+        result = combined_bound(6.0, 5.5, 0.7, 0.3, 2.0999999999999996, 0.8999999999999999)
+        assert sizes == [31, 31]
+        lc0, lc1 = result.certificate
+        assert 0.0 < abs(lc1.c - lc0.c) <= ATOM_MERGE_TOL
+        # the value the 240-point product gave for the plus sign
+        assert abs(result.value - 37.56654261598885) <= result.error_budget
+        assert result.achieved_sign == "both"
 
 
 class TestSkellamLawsAgainstCumulantOracle:

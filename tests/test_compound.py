@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -436,8 +437,12 @@ class TestOppositePairLattice:
                 [(-0.9, 0.81 * 3.0), (0.9, 0.81 * 1.0), (-0.4, 0.16 * 1.5)],
                 ((0, 31), (0, 22), (0, 20)),
             ),
+            (
+                [(0.9, 0.81 * 2.0), (-0.9, 0.81 * 0.5), (-1.4, 1.96 * 0.8)],
+                ((0, 19), (0, 16), (0, 26)),
+            ),
         ],
-        ids=["pair-then-third", "unequal-lam", "third-between"],
+        ids=["pair-then-third", "unequal-lam", "third-between", "third-first"],
     )
     def test_windows_kept_and_pairs_summed(self, atoms, windows):
         # the windows and tail are those each atom had in the full product
@@ -480,6 +485,21 @@ class TestOppositePairLattice:
         law = CompoundLaw(0.0, self.X3, self.PAIR)
         with pytest.raises(TailNotConverged, match="lattice convolution"):
             _law_grid(law, 5.0, SeriesConfig(max_terms=600))
+
+    @pytest.mark.parametrize(
+        "atoms, max_terms, sizes",
+        [
+            ([(0.7, 0.49 * 2.0), (1.3, 1.69 * 1.0)], 100, "(78 x 22)"),
+            ([(0.8, 0.64 * 3.0), (-0.8, 0.64 * 1.0), (1.3, 1.69 * 0.7)], 1000, "(153 x 20)"),
+        ],
+        ids=["product", "pair-then-third"],
+    )
+    def test_composed_grid_over_max_terms_refused(self, atoms, max_terms, sizes):
+        # X3 times the first factor fits; the next factor would not
+        law = CompoundLaw(0.0, self.X3, LevyVarianceMeasure(atoms))
+        message = f"composed grid would exceed max_terms={max_terms} {sizes}"
+        with pytest.raises(TailNotConverged, match=re.escape(message)):
+            _law_grid(law, 5.0, SeriesConfig(max_terms=max_terms))
 
     def test_law_the_product_refused_matches_brute(self):
         law = CompoundLaw(0.0, self.X3, self.PAIR)

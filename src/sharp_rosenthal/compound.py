@@ -71,7 +71,7 @@ __all__ = [
 MAX_NONZERO_ATOMS = 3
 
 #: Switch point between the Taylor series and the direct formula in r1_exp.
-_R1_TAYLOR_CUT = 1e-4
+_R1_TAYLOR_CUT = 0.1
 
 # 1/(j+2)! for j = 0..8, highest degree first (Horner order).
 _R1_COEFFS = [1.0 / math.factorial(j + 2) for j in range(8, -1, -1)]
@@ -106,8 +106,9 @@ def _r1_horner(u):
 def r1_exp(u):
     """(e^u - 1 - u)/u^2, the normalized first-order Taylor remainder of exp.
 
-    Exactly 1/2 at u = 0; a degree-8 Taylor series below |u| = 1e-4 avoids
-    the subtractive cancellation of the direct formula.  Accepts real or
+    Exactly 1/2 at u = 0.  The direct formula cancels, losing about
+    2 eps/|u| relative, so below |u| = 0.1 a degree-8 Taylor series takes
+    over, its first omitted term under |u|^9/11! < 3e-17.  Accepts real or
     complex scalars and returns the matching kind.
     """
     value = _r1_exp_array(np.atleast_1d(u))[0]

@@ -104,14 +104,16 @@ class TestEvenPBound:
         with pytest.raises(ValueError):
             even_p_bound(5, 1.0, 1.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="poisson_pmf's exponent k log lam - lgamma(k + 1) rounds by about "
-        "|k log lam| eps; at lam = 3.2e4 the series misses by 52 times its budget",
-    )
     def test_series_within_budget_at_large_intensity(self):
         # lam = 3.16e4: the series bound against the exact cumulant value
         series, exact = exact_bound(6.0, 6.0, 1e-9, 1.0), even_p_bound(6, 1e-9, 1.0)
+        assert abs(series.value - exact.value) <= series.error_budget
+
+    @pytest.mark.parametrize("lam", np.logspace(0.0, 5.0, 41).tolist())
+    def test_series_within_budget_over_intensity(self, lam):
+        # at p = 6, B = 1 the extremal intensity is lam = A^(-1/2)
+        A = lam**-2.0
+        series, exact = exact_bound(6.0, 6.0, A, 1.0), even_p_bound(6, A, 1.0)
         assert abs(series.value - exact.value) <= series.error_budget
 
 

@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -60,15 +61,15 @@ def random_law(rng, max_atoms=2, gaussian=True) -> CompoundLaw:
     return CompoundLaw(x0, X, LevyVarianceMeasure(atoms))
 
 
-def oracle_law(rng) -> CompoundLaw:
+def oracle_law(rng, first_decades=(-2.0, 3.0)) -> CompoundLaw:
     """1-3 atoms at |u| in [0.1, 3.2], the first with lam log-uniform in
-    [1e-2, 1e3] and the others in [1e-2, 1], a Gaussian part in 30% of laws,
-    and X with 1-3 atoms; larger second and third intensities compose grids
-    beyond max_terms."""
+    [1e-2, 1e3] (10**first_decades) and the others in [1e-2, 1], a Gaussian
+    part in 30% of laws, and X with 1-3 atoms; larger second and third
+    intensities compose grids beyond max_terms."""
     atoms = []
     for k in range(int(rng.integers(1, 4))):
         u = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.2))
-        lam = float(10 ** rng.uniform(-2.0, 3.0 if k == 0 else 0.0))
+        lam = float(10 ** rng.uniform(*(first_decades if k == 0 else (-2.0, 0.0))))
         atoms.append((u, u * u * lam))
     if rng.random() < 0.3:
         atoms.append((0.0, float(rng.uniform(0.1, 2.0))))
@@ -95,9 +96,24 @@ class TestR1Exp:
 
     def test_no_cancellation_near_cut(self):
         # just above the Taylor switch the stable expm1 form must hold
-        u = 1.2e-4
-        series = sum(u**j / math.factorial(j + 2) for j in range(12))
-        assert r1_exp(u) == pytest.approx(series, rel=1e-11)
+        u = 0.12
+        series = sum(u**j / math.factorial(j + 2) for j in range(16))
+        assert r1_exp(u) == pytest.approx(series, rel=1e-14)
+
+    @pytest.mark.parametrize("radius", [1.01e-4, 1e-3, 1e-2, 0.099, 0.101, 2.0])
+    def test_against_mpmath_on_circles(self, radius):
+        # both sides of the Taylor cut, on the real line and off it
+        rng = np.random.default_rng(7)
+        angles = np.concatenate(([0.0, math.pi / 2, math.pi], rng.uniform(0.0, 2 * math.pi, 200)))
+        for z in (radius * np.exp(1j * angles)).tolist():
+            with mpmath.workdps(40):
+                w = mpmath.mpc(z)
+                exact = complex((mpmath.exp(w) - 1 - w) / (w * w))
+            assert abs(r1_exp(z) - exact) <= 1e-14 * abs(exact), z
+        for u in (radius, -radius):
+            with mpmath.workdps(40):
+                exact = float((mpmath.expm1(u) - u) / mpmath.mpf(u) ** 2)
+            assert r1_exp(u) == pytest.approx(exact, rel=1e-14)
 
 
 class TestCpMgf:
@@ -144,14 +160,33 @@ class TestSeriesEngine:
 
     @pytest.mark.parametrize("q", [6, 8])
     def test_even_moments_within_budget_of_cumulant_oracle(self, q):
-        # the exact moment from cumulants shares no code with the series;
-        # above lam ~ 1e3 the pmf's rounding outgrows the budget
+        # the exact moment from cumulants shares no code with the series
         rng = np.random.default_rng(q)
         for _ in range(80):
             law = oracle_law(rng)
             value = cp_abs_moment_series(law, float(q))
             gap = abs(value - float(exact_integer_moment(law, q)))
             assert gap <= _budget(value, DEFAULT_CONFIG), law
+
+    @pytest.mark.parametrize("q", [6, 8])
+    def test_even_moments_within_budget_at_large_intensity(self, q):
+        # the first lam log-uniform in [1e3, 1e4], where a log-space pmf
+        # exponent k log lam - log k! rounds past the budget.  A draw whose
+        # composed grid exceeds max_terms is refused, not evaluated; it stays
+        # in the stream and is counted
+        rng = np.random.default_rng(100 + q)
+        refused = 0
+        for _ in range(40):
+            law = oracle_law(rng, first_decades=(3.0, 4.0))
+            try:
+                value = cp_abs_moment_series(law, float(q))
+            except TailNotConverged as exc:
+                assert "composed grid would exceed max_terms" in str(exc)
+                refused += 1
+                continue
+            gap = abs(value - float(exact_integer_moment(law, q)))
+            assert gap <= _budget(value, DEFAULT_CONFIG), law
+        assert refused <= 10
 
     def test_degenerate_law_zero(self):
         law = CompoundLaw.pure(LevyVarianceMeasure())

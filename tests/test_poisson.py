@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, stats
 
 from conftest import brute_poisson_abs_central, brute_skellam_abs
 from sharp_rosenthal import poisson
@@ -64,50 +64,57 @@ class TestPoissonAbsCentralMoment:
             assert np.all(logm[1:-1] <= mid + 1e-9)
 
 
+def mp_pmf(ks: np.ndarray, lam: float) -> np.ndarray:
+    """Poisson(lam) probabilities at ``ks`` from 40-digit mpmath."""
+    with mpmath.workdps(40):
+        lam_mp = mpmath.mpf(lam)
+        log_lam = mpmath.log(lam_mp)
+        return np.array(
+            [float(mpmath.exp(k * log_lam - lam_mp - mpmath.loggamma(k + 1))) for k in ks.tolist()]
+        )
+
+
+def max_rel_error(pmf: np.ndarray, reference: np.ndarray) -> float:
+    live = reference > 0.0
+    return float(np.max(np.abs(pmf[live] / reference[live] - 1.0)))
+
+
 class TestLogFactorialTable:
-    def test_exact_through_eleven(self):
-        table = poisson._log_factorials(np.arange(12))
-        assert table.tolist() == [math.log(math.factorial(k)) for k in range(12)]
-
-    def test_within_one_ulp_of_gammaln(self):
-        ks = np.arange(10**6)
-        table, reference = poisson._log_factorials(ks), special.gammaln(ks + 1.0)
-        assert np.all(np.abs(table - reference) <= np.spacing(reference))
-
-    def test_grown_in_steps_equals_built_at_once(self, monkeypatch):
-        # the steps cross the first Stirling count (12) and the switch to
-        # the three-term series (k = 999)
-        monkeypatch.setattr(poisson, "_LOG_FACTORIAL", np.empty(0))
-        sizes = []
-        for top in (0, 5, 11, 12, 40, 998, 999, 5000):
-            poisson._log_factorials(np.array([top]))
-            sizes.append(poisson._LOG_FACTORIAL.size)
-        assert sizes == [1, 8, 16, 16, 64, 1024, 1024, 8192]
-        np.testing.assert_array_equal(
-            poisson._LOG_FACTORIAL, poisson._cephes_log_factorial(np.arange(8192))
-        )
-
-    def test_counts_beyond_the_table_computed_alike(self, monkeypatch):
-        # past the table's limit the same formula runs on the counts alone,
-        # and the table does not grow
-        monkeypatch.setattr(poisson, "_LOG_FACTORIAL", np.empty(0))
-        ks = poisson._TABLE_LIMIT + np.array([5, 0, 10**5])
-        reference = special.gammaln(ks + 1.0)
-        assert np.all(np.abs(poisson._log_factorials(ks) - reference) <= np.spacing(reference))
-        monkeypatch.setattr(poisson, "_TABLE_LIMIT", 64)
-        ks = np.array([70, 3, 64, 11, 12])
-        np.testing.assert_array_equal(
-            poisson._log_factorials(ks), poisson._cephes_log_factorial(np.arange(71))[ks]
-        )
-        assert poisson._LOG_FACTORIAL.size == 0
-
     @pytest.mark.parametrize("dtype", [int, float])
     def test_pmf_reads_the_table(self, dtype):
-        lam, lo, hi = 37.5, 9, 80
+        # a window ending below 64 takes the log form with exact log k!
+        lam, lo, hi = 37.5, 9, 63
         ks = np.arange(lo, hi + 1, dtype=dtype)
-        pmf = poisson.poisson_pmf(ks, lam)  # grows the table past hi if need be
-        expected = np.exp(ks * math.log(lam) - lam - poisson._LOG_FACTORIAL[lo : hi + 1])
-        np.testing.assert_array_equal(pmf, expected)
+        log_factorial = np.array([math.log(math.factorial(k)) for k in range(lo, hi + 1)])
+        expected = np.exp(ks * math.log(lam) - lam - log_factorial)
+        np.testing.assert_array_equal(poisson.poisson_pmf(ks, lam), expected)
+
+
+class TestRatioPmf:
+    @pytest.mark.parametrize("lam", [30.0, 700.0, 7e3, 1e4, 2e5])
+    def test_within_1e14_over_twelve_sd(self, lam):
+        half = 12.0 * math.sqrt(lam)
+        ks = np.arange(max(0, math.floor(lam - half)), math.ceil(lam + half) + 1, dtype=float)
+        assert max_rel_error(poisson.poisson_pmf(ks, lam), mp_pmf(ks, lam)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "lam, lo, hi",
+        [(700.0, 720, 900), (700.0, 500, 690), (1e4, 10100, 10500), (1e4, 9500, 9990)],
+        ids=["700-above", "700-below", "1e4-above", "1e4-below"],
+    )
+    def test_anchor_clamped_into_window(self, lam, lo, hi):
+        # the window misses floor(lam): the anchor sits at its end nearest the mode
+        ks = np.arange(lo, hi + 1, dtype=float)
+        assert max_rel_error(poisson.poisson_pmf(ks, lam), mp_pmf(ks, lam)) <= 1e-14
+
+    def test_split_at_64(self):
+        # a window ending at 63 is the log form; one ending at 64 the ratios
+        lam = 30.0
+        below, above = np.arange(0, 64, dtype=float), np.arange(0, 65, dtype=float)
+        log_form = np.exp(below * math.log(lam) - lam - poisson._LOG_FACTORIAL)
+        np.testing.assert_array_equal(poisson.poisson_pmf(below, lam), log_form)
+        assert max_rel_error(poisson.poisson_pmf(below, lam), mp_pmf(below, lam)) <= 1e-13
+        assert max_rel_error(poisson.poisson_pmf(above, lam), mp_pmf(above, lam)) <= 1e-14
 
 
 class TestPoissonPartMoment:

@@ -315,13 +315,17 @@ def q_point_from_c(p: float, A: float, B: float, c1: float, c2: float) -> Option
     rounding-level negative weight is 0.  Raises :class:`SingularSystem`
     when |c1| = |c2| or a scale is zero.
     """
+    return _q_point(p, A, B, solve_lambda_c(p, A, B).c, c1, c2)
+
+
+def _q_point(p: float, A: float, B: float, c: float, c1: float, c2: float) -> Optional[QPoint]:
+    """:func:`q_point_from_c` with c = (A/B)^{1/(p-2)} already solved."""
     if c1 == 0.0 or c2 == 0.0:
         raise SingularSystem(f"c1 and c2 must be nonzero, got c1={c1}, c2={c2}")
     a1 = abs(c1) ** (p - 2.0)
     a2 = abs(c2) ** (p - 2.0)
     if abs(a1 - a2) <= 1e-14 * max(a1, a2):
         raise SingularSystem(f"|c1|^(p-2) = |c2|^(p-2) is singular: c1={c1}, c2={c2}")
-    c = solve_lambda_c(p, A, B).c
     if not min(abs(c1), abs(c2)) <= c <= max(abs(c1), abs(c2)):
         return None
     if abs(c1) == c:
@@ -365,15 +369,24 @@ def scan_axis(c: float, n: int) -> np.ndarray:
 
 
 def _scan_pair(
-    p: float, q: float, A: float, B: float, X: DiscreteRV, c1: float, c2: float, cfg: SeriesConfig
+    p: float,
+    q: float,
+    A: float,
+    B: float,
+    c: float,
+    X: DiscreteRV,
+    c1: float,
+    c2: float,
+    cfg: SeriesConfig,
 ) -> tuple:
-    """(status, lambda1, lambda2, value at (c1, c2), value at (-c1, -c2)).
+    """(status, lambda1, lambda2, value at (c1, c2), value at (-c1, -c2)),
+    with c = (A/B)^{1/(p-2)}.
 
     The weights read only |c1| and |c2|, and -(X + Y_{H^-}) has the law of
     -X + Y_H: one grid of Y_H, summed at the atoms of X and of -X, gives both.
     """
     try:
-        point = q_point_from_c(p, A, B, c1, c2)
+        point = _q_point(p, A, B, c, c1, c2)
     except SingularSystem:
         return "singular", math.nan, math.nan, math.nan, math.nan
     if point is None:
@@ -418,14 +431,15 @@ def q_scan(
     if X is None:
         X = DiscreteRV.delta(0.0)
     reference = exact_bound(p, q, A, B, X, cfg)
-    axis = scan_axis(reference.certificate.c, grid).tolist()  # the cells share these float objects
+    c = reference.certificate.c
+    axis = scan_axis(c, grid).tolist()  # the cells share these float objects
     allow = reference.value + 1e-8 * max(1.0, reference.value) + reference.error_budget
     n = len(axis)
     cells: list = [None] * (n * n)
     # axis[n - 1 - k] is -axis[k], so i <= j with i + j <= n - 1 visits every class
     for i in range(n):
         for j in range(i, n - i):
-            status, lam1, lam2, value, mirror = _scan_pair(p, q, A, B, X, axis[i], axis[j], cfg)
+            status, lam1, lam2, value, mirror = _scan_pair(p, q, A, B, c, X, axis[i], axis[j], cfg)
             for a, b, v in ((i, j, value), (n - 1 - i, n - 1 - j, mirror)):
                 if status == "evaluated" and v > allow:
                     raise BoundExceeded(

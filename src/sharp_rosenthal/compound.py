@@ -22,7 +22,15 @@ on the vertical line Re z = sigma > 0 with the principal branch of z^{q+1};
 the negative part uses the reflection -Y_H =_D Y_{H^-}.  The identity holds
 for every sigma > 0; by default sigma is the saddle point of
 log M(sigma) - (q+1) log sigma, where the integrand is smallest on the real
-axis and its cancellation, hence its roundoff, least.
+axis and its cancellation, hence its roundoff, least.  The integrand is one
+exponential per point,
+    exp(z top + w0 z^2/2 + sum_{u != 0} lam (expm1(zu) - zu) - (q+1) Log z),
+with top = max(x0 + X), times sum_j p_j e^{z(x_j - top)} when X has more
+than one atom; an atom with sigma |u| < 0.1 takes its term as
+w z^2 r1_exp(zu), whose Taylor branch does not cancel.  The law's arrays are
+built once per integral (``_MgfTerms``) and read by the saddle search, the
+truncation and the integrand; :func:`cp_mgf` is the exp of the same
+exponent.
 """
 
 from __future__ import annotations
@@ -129,24 +137,64 @@ def _r1_exp_array(w: np.ndarray) -> np.ndarray:
     return out
 
 
+class _MgfTerms(NamedTuple):
+    """The arrays M(z) is computed from, built once per law."""
+
+    xs: np.ndarray  # x0 + x over the atoms of X
+    gaps: np.ndarray  # x0 + x - top, all <= 0
+    probs: np.ndarray
+    top: float  # max(x0 + X)
+    w0: float  # Gaussian variance
+    atoms: tuple[tuple[float, float, float, float], ...]  # (u, w, lam = w/u^2, w/u), u != 0
+
+
+def _mgf_terms(law: CompoundLaw) -> _MgfTerms:
+    xs = law.x0 + law.background.values
+    top = float(xs.max())
+    atoms = tuple((u, w, w / (u * u), w / u) for u, w in law.levy.nonzero_atoms())
+    return _MgfTerms(xs, xs - top, law.background.probs, top, law.levy.gaussian_variance(), atoms)
+
+
+def _mgf(t: _MgfTerms, z: np.ndarray, reach: float, power: float = 0.0) -> np.ndarray:
+    """M(z)/z^power at complex points z with |z| >= reach, principal branch.
+
+    The exp of one exponent per point,
+    z top + w0 z^2/2 + sum lam (e^{zu} - 1 - zu) - power Log z,
+    times the background factor sum_j p_j e^{z(x_j - top)}
+    when X has more than one atom; e^{z top} sits in the exponent so that
+    the two factors cannot overflow and underflow separately at large Re z.
+    lam (expm1(zu) - zu) cancels at small |zu|, losing about 2 eps/|zu| of
+    the term, so an atom with reach |u| < 0.1 takes w z^2 r1_exp(zu) instead.
+    """
+    e = z * t.top
+    if t.w0:
+        e += 0.5 * t.w0 * z * z
+    for u, w, lam, _ in t.atoms:
+        zu = z * u
+        if reach * abs(u) < _R1_TAYLOR_CUT:
+            e += w * z * z * _r1_exp_array(zu)
+        else:
+            e += lam * (np.expm1(zu) - zu)
+    if power:
+        e -= power * np.log(z)
+    out = np.exp(e)
+    if t.gaps.size > 1:
+        return out * (np.exp(np.multiply.outer(z, t.gaps)) @ t.probs)
+    return out * t.probs[0]
+
+
 def cp_mgf(law: CompoundLaw, z):
     """E e^{z(x0 + X + Y_H)} for Re z > 0 (entire in z for bounded X).
 
-    Equals e^{z x0} E e^{zX} exp{z^2 sum_u w(u) r1_exp(z u)}; on a vertical
+    Equals E e^{z(x0 + X)} exp{w0 z^2/2 + sum_{u != 0} lam (e^{zu} - 1 - zu)}
+    with lam = w/u^2, computed as the exp of one exponent; an atom whose
+    |zu| falls below 0.1 at some point of the call takes the equal form
+    w z^2 r1_exp(zu) at every point, which does not cancel.  On a vertical
     line the modulus never exceeds the value at the real point z = sigma.
     Accepts a complex scalar, returning a complex, or a 1-D ndarray.
     """
     zc = np.atleast_1d(np.asarray(z, dtype=complex))
-    xs = law.x0 + law.background.values
-    ps = law.background.probs
-    # e^{z top} moves into the exponent so that the background and the Levy
-    # factor cannot overflow and underflow separately at large Re z
-    top = float(xs.max())
-    exponent = zc * top
-    for u, w in law.levy.atoms:
-        exponent += w * zc * zc * _r1_exp_array(zc * u)
-    background = np.einsum("j,kj->k", ps, np.exp(np.multiply.outer(zc, xs - top)))
-    out = background * np.exp(exponent)
+    out = _mgf(_mgf_terms(law), zc, float(np.abs(zc).min(initial=math.inf)))
     return complex(out[0]) if np.ndim(z) == 0 else out
 
 
@@ -369,18 +417,15 @@ class ShiftedMomentEvaluator:
         return _expect(self._grid, self.q, self.kind, shifts)
 
 
-def _log_mgf(law: CompoundLaw, sigma: float) -> tuple[float, float]:
+def _log_mgf(t: _MgfTerms, sigma: float) -> tuple[float, float]:
     """K(sigma) = log M(sigma) and K'(sigma) on the real axis, in log form so that
     large sigma does not overflow."""
-    xs = law.x0 + law.background.values
-    top = float(xs.max())
-    tilt = law.background.probs * np.exp(sigma * (xs - top))
-    w0 = law.levy.gaussian_variance()
-    k = sigma * top + math.log(float(tilt.sum())) + 0.5 * w0 * sigma * sigma
-    slope = float(tilt @ xs) / float(tilt.sum()) + w0 * sigma
-    for u, w in law.levy.nonzero_atoms():
-        k += (w / (u * u)) * (math.expm1(sigma * u) - sigma * u)
-        slope += (w / u) * math.expm1(sigma * u)
+    tilt = t.probs * np.exp(sigma * t.gaps)
+    k = sigma * t.top + math.log(float(tilt.sum())) + 0.5 * t.w0 * sigma * sigma
+    slope = float(tilt @ t.xs) / float(tilt.sum()) + t.w0 * sigma
+    for u, _, lam, w_u in t.atoms:
+        k += lam * (math.expm1(sigma * u) - sigma * u)
+        slope += w_u * math.expm1(sigma * u)
     return k, slope
 
 
@@ -395,12 +440,15 @@ def saddle_abscissa(law: CompoundLaw, q: float, tol: float) -> float | None:
     Chernoff bound E(.)_+^q <= (q/(e sigma))^q M(sigma) certifies the
     positive part below ``tol``.
     """
+    return _saddle_abscissa(_mgf_terms(law), q, tol)
 
+
+def _saddle_abscissa(t: _MgfTerms, q: float, tol: float) -> float | None:
     def excess(sigma: float) -> float:
-        return sigma * _log_mgf(law, sigma)[1] - (q + 1.0)
+        return sigma * _log_mgf(t, sigma)[1] - (q + 1.0)
 
     def negligible(sigma: float) -> bool:
-        return q * math.log(q / (math.e * sigma)) + _log_mgf(law, sigma)[0] <= math.log(tol)
+        return q * math.log(q / (math.e * sigma)) + _log_mgf(t, sigma)[0] <= math.log(tol)
 
     # imported here: scipy.optimize adds about 0.3 s to the package's import
     from scipy.optimize import brentq
@@ -415,7 +463,7 @@ def saddle_abscissa(law: CompoundLaw, q: float, tol: float) -> float | None:
     return brentq(excess, lo, hi)
 
 
-def _contour_truncation(law: CompoundLaw, q: float, sigma: float, tol: float) -> float:
+def _contour_truncation(terms: _MgfTerms, q: float, sigma: float, tol: float) -> float:
     """Half-width T certifying the discarded |tau| > T tail of the contour
     integral of M(z)/z^{q+1} below tol.
 
@@ -424,9 +472,9 @@ def _contour_truncation(law: CompoundLaw, q: float, sigma: float, tol: float) ->
     w0 adds the factor e^{-w0 tau^2/2}, whose tail with |z| >= sigma is at
     most 2 M(sigma) sigma^{-q-1} e^{-w0 T^2/2}/(w0 T).
     """
-    m_sigma = math.exp(_log_mgf(law, sigma)[0])
+    m_sigma = math.exp(_log_mgf(terms, sigma)[0])
     t = max((2.0 * m_sigma / (q * tol)) ** (1.0 / q), 10.0 * sigma, 1.0)
-    w0 = law.levy.gaussian_variance()
+    w0 = terms.w0
     if w0 > 0.0:
         # T = sqrt(2 log(c/(T w0))/w0) decreases in T, so of two consecutive
         # iterates one lies at or beyond the fixed point, which certifies
@@ -466,21 +514,20 @@ def cp_part_moment_contour(
         return cp_part_moment_contour(law.reflected(), q, "positive", sigma, cfg)
     if kind != "positive":
         raise ValueError(f"kind must be 'positive' or 'negative', got {kind!r}")
+    terms = _mgf_terms(law)
     if sigma is None:
-        sigma = saddle_abscissa(law, q, cfg.tol)
+        sigma = _saddle_abscissa(terms, q, cfg.tol)
         if sigma is None:
             return 0.0
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     gamma_q1 = math.exp(math.lgamma(q + 1.0))
     scale = gamma_q1 / (2.0 * math.pi)
-    t_max = _contour_truncation(law, q, sigma, cfg.tol / (2.0 * scale))
-
-    exponent = q + 1.0
+    t_max = _contour_truncation(terms, q, sigma, cfg.tol / (2.0 * scale))
 
     def integrand(taus: np.ndarray) -> np.ndarray:
-        z = sigma + 1j * taus
-        return cp_mgf(law, z) / z**exponent
+        # |z| >= sigma on the line
+        return _mgf(terms, sigma + 1j * taus, sigma, q + 1.0)
 
     total, _ = adaptive_gauss_kronrod(integrand, -t_max, t_max, cfg.tol / (2.0 * scale))
     value = scale * total

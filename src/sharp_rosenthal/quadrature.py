@@ -56,6 +56,8 @@ _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 #: Panels :func:`adaptive_gauss_kronrod` may hold before it gives up.
 _MAX_PANELS = 1 << 16
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _legendre_with_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
@@ -125,7 +127,7 @@ def adaptive_gauss_kronrod(f, a: float, b: float, atol: float) -> tuple[complex,
         target = max(atol, 1e-13 * abs(total))
         # the L1 mass of the panels sets the roundoff floor for an
         # oscillatory integrand whose cancellation dwarfs the integral
-        if total_err <= max(target, 50.0 * np.finfo(float).eps * np.abs(ints).sum()):
+        if total_err <= max(target, 50.0 * _EPS * np.abs(ints).sum()):
             return total, total_err
         if len(ints) >= _MAX_PANELS:
             raise QuadratureNotConverged(

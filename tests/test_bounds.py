@@ -506,6 +506,26 @@ class TestQScan:
             law = CompoundLaw(0.0, X3, LevyVarianceMeasure([(cell.c1, w1), (cell.c2, w2)]))
             assert cell.value == pytest.approx(cp_abs_moment_series(law, 6.5), rel=1e-14, abs=0)
 
+    def test_lambda_c_solved_once(self, monkeypatch):
+        # the reference bound's c serves every cell; each cell's atoms and
+        # intensities are bit for bit those q_point_from_c solves alone
+        calls = []
+        solve = bounds.solve_lambda_c
+        monkeypatch.setattr(bounds, "solve_lambda_c", lambda *a: calls.append(a) or solve(*a))
+        result = q_scan(5.3, 5.3, 1.0, 1.0, X3, grid=8)
+        assert calls == [(5.3, 1.0, 1.0)]
+        monkeypatch.setattr(bounds, "solve_lambda_c", solve)
+        for cell in result.cells:
+            try:
+                point = q_point_from_c(5.3, 1.0, 1.0, cell.c1, cell.c2)
+            except SingularSystem:
+                assert cell.status == "singular"
+                continue
+            if point is None:
+                assert cell.status == "infeasible"
+            else:
+                assert (cell.lambda1, cell.lambda2) == (point.lambda1, point.lambda2)
+
     def test_low_reference_raises(self, monkeypatch):
         exact = bounds.exact_bound
         monkeypatch.setattr(

@@ -16,6 +16,7 @@ from sharp_rosenthal.compound import (
     ShiftedMomentEvaluator,
     _contour_truncation,
     _law_grid,
+    _mgf_terms,
     _moment_grid,
     cp_abs_moment_crosscheck,
     cp_abs_moment_series,
@@ -116,6 +117,22 @@ class TestR1Exp:
             assert r1_exp(u) == pytest.approx(exact, rel=1e-14)
 
 
+def mpmath_mgf(law: CompoundLaw, z: complex):
+    """E e^{z(x0 + X + Y_H)} at the working precision of mpmath."""
+    z = mpmath.mpc(z)
+    exponent = mpmath.mpf(0)
+    for u, w in law.levy.atoms:
+        if u == 0.0:
+            exponent += mpmath.mpf(w) * z * z / 2
+        else:
+            zu = z * mpmath.mpf(u)
+            exponent += mpmath.mpf(w) / mpmath.mpf(u) ** 2 * (mpmath.exp(zu) - 1 - zu)
+    background = mpmath.fsum(
+        mpmath.mpf(p) * mpmath.exp(z * (mpmath.mpf(law.x0) + x)) for x, p in law.background.atoms
+    )
+    return background * mpmath.exp(exponent)
+
+
 class TestCpMgf:
     def test_gaussian_component(self):
         law = CompoundLaw.pure(single_atom(0.0, 0.7))
@@ -143,6 +160,34 @@ class TestCpMgf:
             assert abs(cp_mgf(law, complex(sigma, tau))) <= abs(cp_mgf(law, complex(sigma))) * (
                 1 + 1e-12
             )
+
+    # the bare lam (expm1(zu) - zu) loses about 2 eps/|zu| of the term, 4e-11
+    # relative in M at u = 1e-5; the Taylor form r1_exp keeps it at rounding
+    SMALL_STEP_ZS = (0.5 + 0j, 0.5 + 3j, 0.5 - 3j, 2.0 + 10j)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            CompoundLaw.pure(single_atom(1e-5, 1.0)),
+            CompoundLaw.pure(single_atom(-2e-4, 2.0)),
+            CompoundLaw.pure(LevyVarianceMeasure([(1e-5, 1.0), (-2e-4, 2.0)])),
+            # x0 != 0, a 3-atom X and a Gaussian part: the background factor
+            CompoundLaw(
+                0.3,
+                DiscreteRV([(-1.0, 0.3), (0.2, 0.5), (1.0, 0.2)]),
+                LevyVarianceMeasure([(-2e-4, 2.0), (0.0, 0.4), (1.2, 0.7)]),
+            ),
+        ],
+    )
+    def test_small_steps_against_mpmath(self, law):
+        with mpmath.workdps(40):
+            for z in self.SMALL_STEP_ZS:
+                exact = complex(mpmath_mgf(law, z))
+                assert abs(cp_mgf(law, z) - exact) <= 1e-13 * abs(exact), z
+            values = cp_mgf(law, np.array(self.SMALL_STEP_ZS))
+            for z, value in zip(self.SMALL_STEP_ZS, values):
+                exact = complex(mpmath_mgf(law, z))
+                assert abs(value - exact) <= 1e-13 * abs(exact), z
 
 
 class TestSeriesEngine:
@@ -648,6 +693,30 @@ class TestSaddleAbscissa:
             )
             assert found.x == pytest.approx(sigma, rel=1e-6), (law, q)
 
+    X3 = DiscreteRV([(-1.0, 0.3), (0.2, 0.5), (1.0, 0.2)])
+
+    @pytest.mark.parametrize(
+        "law, q, sigma",
+        [
+            (CompoundLaw.pure(LevyVarianceMeasure([(1.3, 0.8)])), 5.0, 1.5347015586643353),
+            (
+                CompoundLaw(0.25, X3, LevyVarianceMeasure([(-2.0, 0.6), (0.7, 0.4)])),
+                5.5,
+                2.0755166844537136,
+            ),
+            (CompoundLaw.pure(LevyVarianceMeasure([(-1.5, 0.9), (0.0, 0.5)])), 6.0, 3.1936580057546387),
+            (
+                CompoundLaw(-0.1, X3, LevyVarianceMeasure([(2.4, 1.1), (0.0, 0.3)])).reflected(),
+                4.5,
+                2.4943367181358687,
+            ),
+        ],
+    )
+    def test_pinned_bit_for_bit(self, law, q, sigma):
+        # sigma as computed when each evaluation of K rebuilt the law's
+        # arrays; reading them from one precomputed set must not move it
+        assert saddle_abscissa(law, q, DEFAULT_CONFIG.tol) == sigma
+
 
 class TestContourTruncation:
     @pytest.mark.parametrize("q", [2.5, 4.0, 5.0, 7.0])
@@ -660,7 +729,7 @@ class TestContourTruncation:
             law = random_law(rng, gaussian=False)
             sigma = saddle_abscissa(law, q, DEFAULT_CONFIG.tol)
             tol = 1e-12
-            t = _contour_truncation(law, q, sigma, tol)
+            t = _contour_truncation(_mgf_terms(law), q, sigma, tol)
             tail = 2.0 * cp_mgf(law, complex(sigma)).real * t ** (-q) / q
             assert tail <= tol * (1.0 + 1e-12)
             assert t == max(10.0 * sigma, 1.0) or tail >= tol * (1.0 - 1e-9)
@@ -675,7 +744,7 @@ class TestContourTruncation:
         sigma = saddle_abscissa(law, q, DEFAULT_CONFIG.tol)
         m_sigma = cp_mgf(law, complex(sigma)).real
         for tol in (1e-8, 1e-12, 1e-16):
-            t = _contour_truncation(law, q, sigma, tol)
+            t = _contour_truncation(_mgf_terms(law), q, sigma, tol)
             poly = 2.0 * m_sigma * t ** (-q) / q
             gauss = 2.0 * m_sigma * sigma ** (-q - 1.0) * math.exp(-0.3 * t * t) / (0.6 * t)
             assert min(poly, gauss) <= tol * (1.0 + 1e-12)

@@ -26,11 +26,16 @@ axis and its cancellation, hence its roundoff, least.  The integrand is one
 exponential per point,
     exp(z top + w0 z^2/2 + sum_{u != 0} lam (expm1(zu) - zu) - (q+1) Log z),
 with top = max(x0 + X), times sum_j p_j e^{z(x_j - top)} when X has more
-than one atom; an atom with sigma |u| < 0.1 takes its term as
-w z^2 r1_exp(zu), whose Taylor branch does not cancel.  The law's arrays are
-built once per integral (``_MgfTerms``) and read by the saddle search, the
-truncation and the integrand; :func:`cp_mgf` is the exp of the same
-exponent.
+than one atom.  On the line z = sigma + i tau its exponent is built in real
+arithmetic: sigma u is one number per atom, so an atom costs two sines of
+tau u, and the terms linear in tau fold into one slope; an atom with
+sigma |u| < 0.1 takes its term as w z^2 r1_exp(zu), whose Taylor branch
+does not cancel.  The law's arrays are built once per integral
+(``_MgfTerms``) and read by the saddle search, the truncation and the
+integrand; :func:`cp_mgf` is the exp of the same exponent.  The saddle is a
+bracketed root (:func:`.roots._brent`), and the integral is adaptive
+Gauss-Kronrod with QUADPACK's 21-point rule
+(:func:`.quadrature.adaptive_gauss_kronrod`).
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from .poisson import (
     poisson_pmf,
 )
 from .quadrature import adaptive_gauss_kronrod
+from .roots import _brent
 
 __all__ = [
     "CompoundLaw",
@@ -155,30 +161,47 @@ def _mgf_terms(law: CompoundLaw) -> _MgfTerms:
     return _MgfTerms(xs, xs - top, law.background.probs, top, law.levy.gaussian_variance(), atoms)
 
 
-def _mgf(t: _MgfTerms, z: np.ndarray, reach: float, power: float = 0.0) -> np.ndarray:
-    """M(z)/z^power at complex points z with |z| >= reach, principal branch.
+def _mgf(t: _MgfTerms, x, y, reach: float, power: float = 0.0) -> np.ndarray:
+    """M(z)/z^power at the points z = x + iy with |z| >= reach, principal branch.
 
-    The exp of one exponent per point,
+    ``x`` is a scalar (a vertical line) or an array like ``y``.  The exp of
+    one exponent per point,
     z top + w0 z^2/2 + sum lam (e^{zu} - 1 - zu) - power Log z,
     times the background factor sum_j p_j e^{z(x_j - top)}
     when X has more than one atom; e^{z top} sits in the exponent so that
     the two factors cannot overflow and underflow separately at large Re z.
-    lam (expm1(zu) - zu) cancels at small |zu|, losing about 2 eps/|zu| of
-    the term, so an atom with reach |u| < 0.1 takes w z^2 r1_exp(zu) instead.
+    The exponent is built in real arithmetic: an atom adds
+    lam (expm1(xu) - xu) - 2 lam e^{xu} sin^2(yu/2) to its real part and
+    lam e^{xu} sin(yu) to its imaginary part, whose terms linear in y fold
+    into one slope (top + w0 x - sum w/u) y; Log z is
+    log(x^2 + y^2)/2 + i atan2(y, x).  lam (e^{zu} - 1 - zu) cancels at
+    small |zu|, losing about 2 eps/|zu| of the term, so an atom with
+    reach |u| < 0.1 takes the complex w z^2 r1_exp(zu) instead, as does a
+    background of more than one atom.
     """
-    e = z * t.top
+    re, slope, im = t.top * x, t.top, 0.0
     if t.w0:
-        e += 0.5 * t.w0 * z * z
-    for u, w, lam, _ in t.atoms:
-        zu = z * u
+        re = re + 0.5 * t.w0 * (x * x - y * y)
+        slope = slope + t.w0 * x
+    for u, w, lam, w_u in t.atoms:
         if reach * abs(u) < _R1_TAYLOR_CUT:
-            e += w * z * z * _r1_exp_array(zu)
+            z = x + 1j * y
+            term = w * z * z * _r1_exp_array(z * u)
+            re = re + term.real
+            im = im + term.imag
         else:
-            e += lam * (np.expm1(zu) - zu)
+            xu = x * u
+            grow = lam * np.exp(xu)
+            re = re + (lam * (np.expm1(xu) - xu) - 2.0 * grow * np.sin(0.5 * u * y) ** 2)
+            im = im + grow * np.sin(u * y)
+            slope = slope - w_u
+    im = im + slope * y
     if power:
-        e -= power * np.log(z)
-    out = np.exp(e)
+        re = re - 0.5 * power * np.log(x * x + y * y)
+        im = im - power * np.arctan2(y, x)
+    out = np.exp(re + 1j * im)
     if t.gaps.size > 1:
+        z = x + 1j * y
         return out * (np.exp(np.multiply.outer(z, t.gaps)) @ t.probs)
     return out * t.probs[0]
 
@@ -187,14 +210,15 @@ def cp_mgf(law: CompoundLaw, z):
     """E e^{z(x0 + X + Y_H)} for Re z > 0 (entire in z for bounded X).
 
     Equals E e^{z(x0 + X)} exp{w0 z^2/2 + sum_{u != 0} lam (e^{zu} - 1 - zu)}
-    with lam = w/u^2, computed as the exp of one exponent; an atom whose
-    |zu| falls below 0.1 at some point of the call takes the equal form
-    w z^2 r1_exp(zu) at every point, which does not cancel.  On a vertical
-    line the modulus never exceeds the value at the real point z = sigma.
-    Accepts a complex scalar, returning a complex, or a 1-D ndarray.
+    with lam = w/u^2, computed as the exp of one exponent built from the
+    real and imaginary parts of z; an atom whose |zu| falls below 0.1 at
+    some point of the call takes the equal form w z^2 r1_exp(zu) at every
+    point, which does not cancel.  On a vertical line the modulus never
+    exceeds the value at the real point z = sigma.  Accepts a complex
+    scalar, returning a complex, or a 1-D ndarray.
     """
     zc = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = _mgf(_mgf_terms(law), zc, float(np.abs(zc).min(initial=math.inf)))
+    out = _mgf(_mgf_terms(law), zc.real, zc.imag, float(np.abs(zc).min(initial=math.inf)))
     return complex(out[0]) if np.ndim(z) == 0 else out
 
 
@@ -450,9 +474,6 @@ def _saddle_abscissa(t: _MgfTerms, q: float, tol: float) -> float | None:
     def negligible(sigma: float) -> bool:
         return q * math.log(q / (math.e * sigma)) + _log_mgf(t, sigma)[0] <= math.log(tol)
 
-    # imported here: scipy.optimize adds about 0.3 s to the package's import
-    from scipy.optimize import brentq
-
     lo, hi = 0.5, 1.0
     while excess(hi) < 0.0:
         if negligible(hi):
@@ -460,7 +481,7 @@ def _saddle_abscissa(t: _MgfTerms, q: float, tol: float) -> float | None:
         lo, hi = hi, 2.0 * hi
     while excess(lo) >= 0.0:
         lo, hi = 0.5 * lo, lo
-    return brentq(excess, lo, hi)
+    return _brent(excess, lo, hi)
 
 
 def _contour_truncation(terms: _MgfTerms, q: float, sigma: float, tol: float) -> float:
@@ -527,7 +548,7 @@ def cp_part_moment_contour(
 
     def integrand(taus: np.ndarray) -> np.ndarray:
         # |z| >= sigma on the line
-        return _mgf(terms, sigma + 1j * taus, sigma, q + 1.0)
+        return _mgf(terms, sigma, taus, sigma, q + 1.0)
 
     total, _ = adaptive_gauss_kronrod(integrand, -t_max, t_max, cfg.tol / (2.0 * scale))
     value = scale * total

@@ -29,6 +29,7 @@ from .measures import (
     rv_second_moment,
 )
 from .poisson import DEFAULT_CONFIG, SeriesConfig
+from .roots import _brent
 
 __all__ = [
     "RVSequence",
@@ -264,16 +265,13 @@ def solve_accompanying(
     if lam > n:
         raise InfeasibleMass(f"lambda = {lam} exceeds n = {n}; needs kappa*g/n <= 1")
 
-    # imported here: scipy.optimize adds about 0.3 s to the package's import
-    from scipy.optimize import brentq
-
     def excess(pi: float) -> float:
         h = (1.0 - pi) ** (p - 1.0) + pi ** (p - 1.0)
         return n * pi * (1.0 - pi) * h ** (-2.0 / (p - 2.0)) - lam
 
     # psi(1/2) = n exactly, so excess(1/2) > 0 only by rounding near lam = n;
     # pi ~ lam/n can be tiny, so the stop is relative (rtol), not xtol
-    pi = 0.5 if excess(0.5) <= 0.0 else brentq(excess, 0.0, 0.5, xtol=1e-300)
+    pi = 0.5 if excess(0.5) <= 0.0 else _brent(excess, 0.0, 0.5, xtol=1e-300)
     kappa = n * pi / g
     gamma = math.sqrt(B / (n * pi * (1.0 - pi))) / abs(x)
     f2, fp = _member_moments(kappa, gamma, n, G.locations, G.weights, (2.0, p))

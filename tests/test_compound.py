@@ -189,6 +189,39 @@ class TestCpMgf:
                 exact = complex(mpmath_mgf(law, z))
                 assert abs(value - exact) <= 1e-13 * abs(exact), z
 
+    # On the line z = sigma + i tau the exponent is built in real arithmetic.
+    # The (0.05, 1.0) atom (lam = 400) at sigma = 2.0001 sits just above the
+    # 0.1 cut of sigma |u|, where e^{zu} - 1 - zu cancels most; at tau = 700
+    # the phase, lam e^{sigma u} sin(tau u) + (top - sum w/u) tau, is
+    # thousands of radians, and its terms linear in tau must fold into one
+    # slope: e^{sigma u} cos(tau u) - 1 - sigma u with lam tau u left apart
+    # reads 6e-13 at (-0.3, 1.5).  One call per line, so reach = sigma
+    LINE_TAUS = (0.0, 1e-3, 0.3, 3.0, 40.0, 700.0)
+
+    @pytest.mark.parametrize(
+        "atoms, sigma",
+        [
+            ([(0.05, 1.0)], 2.5),
+            ([(0.05, 1.0)], 2.0001),
+            ([(-0.3, 1.5)], 0.34),
+            ([(0.5, 2.0), (-0.5, 1.0)], 0.25),
+            ([(0.0, 0.7), (1.1, 0.6)], 1.3),
+        ],
+    )
+    def test_vertical_line_against_mpmath(self, atoms, sigma):
+        law = CompoundLaw.pure(LevyVarianceMeasure(atoms))
+        zs = sigma + 1j * np.array(self.LINE_TAUS)
+        values = cp_mgf(law, zs)
+        checked = 0
+        with mpmath.workdps(40):
+            for z, value in zip(zs, values):
+                exact = mpmath_mgf(law, complex(z))
+                if abs(exact) < 1e-290:
+                    continue  # M underflows
+                assert abs(mpmath.mpc(value) - exact) <= 2.5e-13 * abs(exact), z
+                checked += 1
+        assert checked >= 5
+
 
 class TestSeriesEngine:
     def test_centered_poisson_fourth(self):

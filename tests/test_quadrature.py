@@ -1,5 +1,6 @@
-"""Gauss-Legendre rules against 30-digit mpmath references, and the
-adaptive Gauss-Kronrod integrator against closed forms."""
+"""Gauss-Legendre rules and the Gauss-Kronrod panel rule against 30-digit
+mpmath references, and the adaptive Gauss-Kronrod integrator against closed
+forms."""
 
 import math
 
@@ -8,7 +9,13 @@ import numpy as np
 import pytest
 
 from sharp_rosenthal.errors import QuadratureNotConverged
-from sharp_rosenthal.quadrature import adaptive_gauss_kronrod, gauss_legendre_01
+from sharp_rosenthal.quadrature import (
+    _NODES,
+    _WEIGHTS_G,
+    _WEIGHTS_K,
+    adaptive_gauss_kronrod,
+    gauss_legendre_01,
+)
 
 
 def mp_legendre_node_weight(n: int, x0: float) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -51,6 +58,26 @@ def test_rule_shape_and_exactness(n):
     # exact for polynomials of degree 2n - 1: int_0^1 s^k ds = 1/(k+1)
     for k in (0, 1, 2 * n - 1):
         assert float(w @ s**k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
+
+
+class TestKronrodRule:
+    """The 21-point Kronrod rule and its embedded 10-point Gauss rule."""
+
+    def test_gauss_nodes_and_weights_match_mpmath(self):
+        assert np.count_nonzero(_WEIGHTS_G) == 10
+        for node, weight in zip(_NODES[1:20:2], _WEIGHTS_G[1:20:2]):
+            x, w = mp_legendre_node_weight(10, node)
+            assert abs(node - x) <= 1e-16
+            assert abs(weight - w) <= 1e-16 * w
+
+    @pytest.mark.parametrize("weights, degree", [(_WEIGHTS_K, 31), (_WEIGHTS_G, 19)])
+    def test_polynomial_exactness(self, weights, degree):
+        # int_{-1}^1 x^k dx = 2/(k+1) for even k, 0 for odd k
+        for k in range(degree + 1):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs(weights @ _NODES**k - exact) <= 1e-15, k
+        # and no further: the next even degree is off
+        assert abs(weights @ _NODES ** (degree + 1) - 2.0 / (degree + 2)) > 1e-12
 
 
 class TestAdaptiveGaussKronrod:
